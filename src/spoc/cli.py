@@ -28,19 +28,20 @@ from .analysis import (
 )
 from .battery import run_battery
 from .errors import BlowUpError, ConfigError, SpocError
-from .models import builtin_model
 from .schedules import UpdateSchedule, schedule_diagnostics, theta_sequence
 from .simulate import (
-    InitialCondition,
     SimConfig,
     batch_spoc_run,
     classical_poc_run,
+    reference_run,
     save_run,
     spoc_run,
 )
 from . import svgplot
 
 log = logging.getLogger("spoc")
+
+NO_FIT = "no fit (fewer than 3 milestones)"
 
 _SCHEDULE_SCHEMA = {
     "type": "object",
@@ -90,7 +91,6 @@ CONFIG_SCHEMA = {
         "milestones": {"type": "array", "items": {"type": "integer"}},
         "measure_backend": {"enum": ["full_atoms", "summary_only"]},
         "store_paths": {"type": "boolean"},
-        "self_inclusive": {"type": "boolean"},
         "algorithm": {"enum": ["spoc", "batch_spoc", "classical_poc"]},
         "metric": {"enum": [METRIC_W2, METRIC_MEAN, METRIC_SECOND]},
         "gamma": {"type": "number"},
@@ -117,7 +117,7 @@ def _load_config(path: str) -> dict:
         ) from exc
 
 
-def _coerce(raw: str, expected: dict | None):
+def _coerce(raw: str, expected: dict | None, key: str):
     kind = None
     if expected is not None:
         kind = expected.get("type")
@@ -141,7 +141,7 @@ def _coerce(raw: str, expected: dict | None):
         if kind in ("array", "object"):
             return json.loads(raw)
     except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"override value {raw!r} is not a valid {kind}", key=raw) from exc
+        raise ConfigError(f"override value {raw!r} is not a valid {kind}", key=key) from exc
     # free-form node: best-effort JSON literal, else string
     try:
         return json.loads(raw)
@@ -171,7 +171,7 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         if leaf not in props and schema_node.get("additionalProperties") is False:
             raise ConfigError(f"unknown config key {key!r}", key=key)
         expected = props.get(leaf)
-    node[leaf] = _coerce(raw, expected)
+    node[leaf] = _coerce(raw, expected, key)
 
 
 def _validate_config(cfg: dict) -> None:
@@ -190,28 +190,9 @@ def _require(cfg: dict, keys: list[str]) -> None:
 
 def _build_sim_config(cfg: dict, args) -> SimConfig:
     _require(cfg, ["model", "schedule", "initial", "T", "M", "N", "seed"])
-    model = builtin_model(cfg["model"]["name"], cfg["model"].get("params"))
-    schedule = UpdateSchedule.from_dict(
-        {**cfg["schedule"], "max_n": cfg["schedule"].get("max_n", max(cfg["N"], 1))}
-    )
-    initial = InitialCondition.from_dict(cfg["initial"])
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    return SimConfig(
-        model=model,
-        schedule=schedule,
-        initial=initial,
-        T=float(cfg["T"]),
-        M=int(cfg["M"]),
-        N=int(cfg["N"]),
-        seed=int(seed),
-        batch_sizes=tuple(cfg["batch_sizes"]) if cfg.get("batch_sizes") else None,
-        replications=int(cfg.get("replications", 1)),
-        checkpoints=tuple(cfg["checkpoints"]) if cfg.get("checkpoints") else None,
-        milestones=tuple(cfg["milestones"]) if cfg.get("milestones") else None,
-        measure_backend=cfg.get("measure_backend"),
-        store_paths=bool(cfg.get("store_paths", False)),
-        self_inclusive=bool(cfg.get("self_inclusive", False)),
-    )
+    if args.seed is not None:
+        cfg = {**cfg, "seed": args.seed}
+    return SimConfig.from_dict(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -234,14 +215,16 @@ def _table_outputs(out: Path, stem: str, table, fmt: str) -> None:
 def _cmd_simulate(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
     out = _out_dir(args)
-    manifest_path = out / "manifest.json"
-    if manifest_path.exists():
-        previous = json.loads(manifest_path.read_text())
-        if previous.get("complete") and previous.get("config") == config.to_dict() \
-                and previous.get("algorithm") == cfg.get("algorithm", "spoc"):
-            print(f"run already complete in {out}; nothing to do")
-            return 0
     algorithm = cfg.get("algorithm", "spoc")
+    try:
+        previous = json.loads((out / "manifest.json").read_text())
+    except (OSError, ValueError):
+        previous = None  # missing or unreadable: the run is redone
+    if isinstance(previous, dict) and previous.get("complete") \
+            and previous.get("config") == config.to_dict() \
+            and previous.get("algorithm") == algorithm:
+        print(f"run already complete in {out}; nothing to do")
+        return 0
     runner = {"spoc": spoc_run, "batch_spoc": batch_spoc_run,
               "classical_poc": classical_poc_run}[algorithm]
     result = runner(config, workers=args.workers)
@@ -258,11 +241,12 @@ def _cmd_compare(cfg: dict, args) -> int:
     out = _out_dir(args)
     milestones = tuple(cfg.get("milestones") or config.milestones)
     metric = cfg.get("metric", METRIC_MEAN)
+    reference = reference_run(config.model, config, workers=args.workers)
     seq_table, seq_fit = convergence_study(
-        config, milestones, metric, algorithm="spoc", workers=args.workers
+        config, milestones, metric, reference, algorithm="spoc", workers=args.workers
     )
     cls_table, cls_fit = convergence_study(
-        config, milestones, metric, algorithm="classical_poc", workers=args.workers
+        config, milestones, metric, reference, algorithm="classical_poc", workers=args.workers
     )
     _table_outputs(out, f"sequential_{metric}", seq_table, args.format)
     _table_outputs(out, f"classical_{metric}", cls_table, args.format)
@@ -273,7 +257,10 @@ def _cmd_compare(cfg: dict, args) -> int:
         title=f"sequential vs classical: {metric}",
         ref_slope=-0.5,
     )
-    print(f"sequential slope {seq_fit.slope:+.3f}, classical slope {cls_fit.slope:+.3f} -> {out}")
+    if seq_fit is None:
+        print(f"{NO_FIT} -> {out}")
+    else:
+        print(f"sequential slope {seq_fit.slope:+.3f}, classical slope {cls_fit.slope:+.3f} -> {out}")
     return 0
 
 
@@ -305,7 +292,11 @@ def _cmd_rates(cfg: dict, args) -> int:
         title=f"convergence rate: {table.metric}",
         ref_slope=-0.5,
     )
-    print(f"fitted slope {fit.slope:+.4f} (stderr {fit.stderr:.4f}, R^2 {fit.r_squared:.3f}) -> {out}")
+    if fit is None:
+        print(f"{NO_FIT} -> {out}")
+    else:
+        print(f"fitted slope {fit.slope:+.4f} (stderr {fit.stderr:.4f}, "
+              f"R^2 {fit.r_squared:.3f}) -> {out}")
     return 0
 
 
@@ -413,7 +404,8 @@ def dispatch(argv=None) -> int:
         _validate_config(cfg)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        where = f" [{exc.key}]" if exc.key else ""
+        print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
         print(f"numeric blow-up: {exc}", file=sys.stderr)

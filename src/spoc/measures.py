@@ -104,7 +104,7 @@ class WeightedEmpirical:
     @classmethod
     def from_csv(cls, path) -> "WeightedEmpirical":
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(atoms=data[:, :-1], weights=data[:, -1])
+        return cls._stored(data[:, :-1], data[:, -1])
 
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
@@ -126,7 +126,20 @@ class WeightedEmpirical:
         atoms = np.frombuffer(raw, dtype=float, count=k * dim, offset=off).reshape(k, dim)
         off += k * dim * 8
         weights = np.frombuffer(raw, dtype=float, count=k, offset=off)
-        return cls(atoms=atoms.copy(), weights=weights.copy())
+        return cls._stored(atoms.copy(), weights)
+
+    @classmethod
+    def _stored(cls, atoms, weights) -> "WeightedEmpirical":
+        """A measure read back from storage.  It passes the checks of a new
+        measure, but weights that are already normalised are kept as stored:
+        their sum is 1 only up to rounding, so dividing by it again would move
+        some of them by an ulp."""
+        m = cls(atoms=atoms, weights=weights)
+        w = np.array(weights, dtype=float).reshape(-1)
+        if w.shape == m.weights.shape and abs(w.sum() - 1.0) <= w.size * np.finfo(float).eps:
+            w.setflags(write=False)
+            object.__setattr__(m, "weights", w)
+        return m
 
 
 @dataclass(frozen=True)

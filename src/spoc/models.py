@@ -23,6 +23,7 @@ from scipy.stats import norm
 
 from .errors import (
     AssumptionViolationError,
+    ConfigError,
     DimensionMismatchError,
     ModelEvaluationError,
     NumericsError,
@@ -161,12 +162,12 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
                    with e the unit vector along X - EX (zero at X = EX).
     """
     if name not in _BUILTIN_DEFAULTS:
-        raise ValueError(f"unknown builtin model {name!r}")
+        raise ConfigError(f"unknown builtin model {name!r}", key="model.name")
     defaults = dict(_BUILTIN_DEFAULTS[name])
     params = dict(params or {})
     unknown = set(params) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown params for {name}: {sorted(unknown)}")
+        raise ConfigError(f"unknown params for {name}: {sorted(unknown)}", key="model.params")
     defaults.update(params)
     p = defaults
 
@@ -183,7 +184,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
         )
     if name == "curie_weiss":
         if p["beta"] <= 0.0 or p["sigma"] <= 0.0:
-            raise ValueError("curie_weiss requires beta > 0 and sigma > 0")
+            raise ConfigError("curie_weiss requires beta > 0 and sigma > 0", key="model.params")
         return ModelSpec(
             name=name,
             dim=1,
@@ -194,7 +195,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
             params=p,
         )
     if p["alpha"] <= 0.0 or p["beta"] <= 0.0 or p["sigma"] <= 0.0:
-        raise ValueError("repulsive3d requires alpha, beta, sigma > 0")
+        raise ConfigError("repulsive3d requires alpha, beta, sigma > 0", key="model.params")
     return ModelSpec(
         name=name,
         dim=3,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidScheduleError, NumericsError, SingularScheduleError
+from .errors import ConfigError, InvalidScheduleError, NumericsError, SingularScheduleError
 
 _KINDS = ("harmonic", "power_law", "geometric", "explicit")
 
@@ -133,6 +133,9 @@ class UpdateSchedule:
     def from_dict(cls, d: dict) -> "UpdateSchedule":
         kind = d.get("kind")
         max_n = d.get("max_n")
+        needs = {"power_law": "r", "geometric": "q", "explicit": "values"}.get(kind)
+        if needs is not None and d.get(needs) is None:
+            raise ConfigError(f"a {kind} schedule needs {needs!r}", key=f"schedule.{needs}")
         if kind == "harmonic":
             return cls.harmonic(max_n or 10**6)
         if kind == "power_law":

@@ -24,7 +24,8 @@ import struct
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,6 @@ class SimConfig:
     milestones: tuple[int, ...] | None = None
     measure_backend: str | None = None
     store_paths: bool = False
-    self_inclusive: bool = False
 
     def __post_init__(self):
         if self.T <= 0.0 or self.M < 1:
@@ -177,11 +177,6 @@ class SimConfig:
         ):
             raise ConfigError(
                 "full-measure interaction needs the full_atoms backend", key="measure_backend"
-            )
-        if self.self_inclusive and self.model.interaction_form == INTERACTION_FULL:
-            raise ConfigError(
-                "self_inclusive is implemented for moment-interaction models only",
-                key="self_inclusive",
             )
         # resolve checkpoint times against the grid
         cps = self.checkpoints if self.checkpoints is not None else (self.T,)
@@ -231,14 +226,14 @@ class SimConfig:
             "milestones": list(self.milestones),
             "measure_backend": self.measure_backend,
             "store_paths": self.store_paths,
-            "self_inclusive": self.self_inclusive,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """Inverse of to_dict; a schedule without max_n covers N particles."""
         return cls(
             model=ModelSpec.from_dict(d["model"]),
-            schedule=UpdateSchedule.from_dict(d["schedule"]),
+            schedule=UpdateSchedule.from_dict({"max_n": max(int(d["N"]), 1), **d["schedule"]}),
             initial=InitialCondition.from_dict(d["initial"]),
             T=float(d["T"]),
             M=int(d["M"]),
@@ -250,7 +245,6 @@ class SimConfig:
             milestones=tuple(d["milestones"]) if d.get("milestones") else None,
             measure_backend=d.get("measure_backend"),
             store_paths=bool(d.get("store_paths", False)),
-            self_inclusive=bool(d.get("self_inclusive", False)),
         )
 
 
@@ -261,7 +255,8 @@ class RunResult:
     mean_traj has shape (R, len(milestones), len(checkpoints), dim) and
     second_traj (R, len(milestones), len(checkpoints)); snapshots maps
     (replication, milestone_n, grid_index) to a measure snapshot; paths, when
-    stored, is (R, N, M+1, dim).
+    stored, is (R, N, M+1, dim).  wall_time_s is None for a run read back by
+    load_run.
     """
 
     config: SimConfig
@@ -273,15 +268,9 @@ class RunResult:
     second_traj: np.ndarray
     snapshots: dict
     paths: np.ndarray | None
-    wall_time_s: float
+    wall_time_s: float | None
     n_steps: int
     notes: tuple[str, ...] = ()
-
-    # in-memory extras attached by the drivers; not persisted
-    _gap_kn = None
-    _gap_last = None
-    _mean_grid = None
-    _second_grid = None
 
     def milestone_index(self, n: int) -> int:
         return self.milestones.index(n)
@@ -332,6 +321,21 @@ def _apply_diffusion(sig, dw: np.ndarray) -> np.ndarray:
     if sig.ndim == dw.ndim:
         return sig * dw
     raise DimensionMismatchError(f"diffusion output shape {sig.shape} does not fit increments")
+
+
+def _em_step(model: ModelSpec, t: float, x: np.ndarray, view, dw: np.ndarray, db, dt: float):
+    """One Euler-Maruyama step x + b dt + sigma dW against a measure view.
+
+    db holds the measure-free dB increments of the additive-plus-free noise
+    form, or is None.  Every driver steps through here, so the floating-point
+    order is fixed in one place: the dB term is a separate, last addition.
+    """
+    b = model.drift(t, x, view)
+    s = model.diffusion(t, x, view)
+    x = x + np.asarray(b) * dt + _apply_diffusion(s, dw)
+    if db is not None:
+        x = x + model.additive_amplitude * db
+    return x
 
 
 def _check_finite_path(x_path: np.ndarray, particle: int, rep_ids) -> None:
@@ -402,9 +406,9 @@ def _merge_chunks(parts: list[dict], rep_order: list[list[int]]) -> dict:
 # -- core drivers ------------------------------------------------------------
 
 
-def _sequential_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
-                      ref_moments=None) -> dict:
-    """Simulate one replication chunk of a sequential (or batch) run.
+def _sequential_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -> dict:
+    """Simulate one replication chunk of a sequential run, or of a batch run
+    when the config has batch_sizes.
 
     Replications evolve in lockstep along a leading vector axis; all
     per-replication arithmetic is elementwise, so chunking is bit-neutral.
@@ -426,12 +430,9 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
     dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
     coupled = ref_moments is not None
 
-    if algorithm == ALGO_BATCH:
-        batches = config.batch_sizes
-    else:
-        batches = (1,) * N
+    batches = config.batch_sizes or (1,) * N
     starts = np.concatenate([[0], np.cumsum(batches)])
-    if algorithm == ALGO_BATCH:
+    if config.batch_sizes is not None:
         bad = [n for n in milestones if n not in set(starts.tolist())]
         if bad:
             raise ConfigError(
@@ -496,31 +497,16 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
                 for m in range(1, M + 1):
                     t_prev = times[m - 1]
                     if moment_only:
-                        vm, vs = mean[m - 1][:, None, :], second[m - 1][:, None]
-                        if config.self_inclusive:
-                            bm = x.mean(axis=1)
-                            bs = np.mean(np.sum(x**2, axis=-1), axis=1)
-                            vm = vm + alpha * (bm[:, None, :] - vm)
-                            vs = vs + alpha * (bs[:, None] - vs)
-                        view = MomentView(vm, vs)
-                        b = model.drift(t_prev, x, view)
-                        s = model.diffusion(t_prev, x, view)
-                        x = x + np.asarray(b) * dt + _apply_diffusion(s, dw[:, :, m - 1])
-                        if dual:
-                            x = x + model.additive_amplitude * db[:, :, m - 1]
+                        view = MomentView(mean[m - 1][:, None, :], second[m - 1][:, None])
+                        x = _em_step(model, t_prev, x, view, dw[:, :, m - 1],
+                                     db[:, :, m - 1] if dual else None, dt)
                     else:
                         # full-measure interaction: frozen atom list per replication
                         xn = np.empty_like(x)
                         for ri in range(Rc):
                             view = AtomView(atoms_grid[ri, :n_prev, m - 1, :], wv)
-                            b = model.drift(t_prev, x[ri], view)
-                            s = model.diffusion(t_prev, x[ri], view)
-                            xn[ri] = (
-                                x[ri] + np.asarray(b) * dt
-                                + _apply_diffusion(s, dw[ri, :, m - 1])
-                            )
-                            if dual:
-                                xn[ri] = xn[ri] + model.additive_amplitude * db[ri, :, m - 1]
+                            xn[ri] = _em_step(model, t_prev, x[ri], view, dw[ri, :, m - 1],
+                                              db[ri, :, m - 1] if dual else None, dt)
                         x = xn
                     xs_full[m] = x
             finally:
@@ -539,11 +525,8 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
                 y_path[0] = y
                 for m in range(1, M + 1):
                     view = MomentView(ref_mean[m - 1], ref_second[m - 1])
-                    b = model.drift(times[m - 1], y, view)
-                    s = model.diffusion(times[m - 1], y, view)
-                    y = y + np.asarray(b) * dt + _apply_diffusion(s, dw[:, 0, m - 1])
-                    if dual:
-                        y = y + model.additive_amplitude * db[:, 0, m - 1]
+                    y = _em_step(model, times[m - 1], y, view, dw[:, 0, m - 1],
+                                 db[:, 0, m - 1] if dual else None, dt)
                     y_path[m] = y
             diff = bpath - y_path
             gap = np.einsum("m,mr->r", trap_w, np.sum(diff**2, axis=2)) / config.T
@@ -597,8 +580,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
     }
 
 
-def _classical_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
-                     ref_moments=None) -> dict:
+def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     """All-particles-simultaneous mean-field run for one replication chunk.
 
     Noise is consumed step-major (x0 for all particles, then one increment per
@@ -639,21 +621,13 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
         db = np.stack([g.standard_normal((N, dim)) for g in gens]) * sqdt if dual else None
         if moment_only:
             view = MomentView(em[:, None, :], es[:, None])
-            b = model.drift(times[m - 1], x, view)
-            s = model.diffusion(times[m - 1], x, view)
-            x = x + np.asarray(b) * dt + _apply_diffusion(s, dw)
-            if dual:
-                x = x + model.additive_amplitude * db
+            x = _em_step(model, times[m - 1], x, view, dw, db, dt)
         else:
             xn = np.empty_like(x)
             w = np.full(N, 1.0 / N)
             for ri in range(Rc):
-                view = AtomView(x[ri], w)
-                b = model.drift(times[m - 1], x[ri], view)
-                s = model.diffusion(times[m - 1], x[ri], view)
-                xn[ri] = x[ri] + np.asarray(b) * dt + _apply_diffusion(s, dw[ri])
-                if dual:
-                    xn[ri] += model.additive_amplitude * db[ri]
+                xn[ri] = _em_step(model, times[m - 1], x[ri], AtomView(x[ri], w), dw[ri],
+                                  db[ri] if dual else None, dt)
             x = xn
         if not np.all(np.isfinite(x)) or np.abs(x).max() > BLOWUP_LIMIT:
             flat = np.abs(x).reshape(Rc, -1)
@@ -698,25 +672,25 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int], algorithm: str,
     }
 
 
-def _run_chunk(config: SimConfig, rep_ids: list[int], algorithm: str, ref_moments=None) -> dict:
-    if algorithm == ALGO_CLASSICAL:
-        return _classical_chunk(config, rep_ids, algorithm, ref_moments)
-    return _sequential_chunk(config, rep_ids, algorithm, ref_moments)
-
-
 def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=None,
-             notes: tuple[str, ...] = ()) -> RunResult:
+             notes: tuple[str, ...] = ()) -> tuple[RunResult, dict]:
+    """Run the replication chunks, in this process or on workers, and merge them.
+
+    Returns the result and the merged chunk outputs, which also hold the
+    coupled gaps (gap_kn, gap_last) and the classical full-grid moments
+    (mean_grid, second_grid).
+    """
     t0 = time.perf_counter()
+    if algorithm == ALGO_CLASSICAL:
+        run_chunk = partial(_classical_chunk, config)
+    else:
+        run_chunk = partial(_sequential_chunk, config, ref_moments=ref_moments)
     chunks = _chunk_reps(config.replications, workers)
     if len(chunks) == 1:
-        parts = [_run_chunk(config, chunks[0], algorithm, ref_moments)]
+        parts = [run_chunk(chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_run_chunk, config, chunk, algorithm, ref_moments)
-                for chunk in chunks
-            ]
-            parts = [f.result() for f in futures]
+            parts = list(pool.map(run_chunk, chunks))
     merged = _merge_chunks(parts, chunks)
     milestones = config.milestones if algorithm != ALGO_CLASSICAL else (config.N,)
     result = RunResult(
@@ -733,11 +707,7 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
         n_steps=merged["n_steps"],
         notes=notes + merged["notes"],
     )
-    result._gap_kn = merged.get("gap_kn")
-    result._gap_last = merged.get("gap_last")
-    result._mean_grid = merged.get("mean_grid")
-    result._second_grid = merged.get("second_grid")
-    return result
+    return result, merged
 
 
 def spoc_run(config: SimConfig, workers: int = 1) -> RunResult:
@@ -746,7 +716,7 @@ def spoc_run(config: SimConfig, workers: int = 1) -> RunResult:
     folded in with rate alpha_n at every grid time."""
     if config.batch_sizes is not None:
         raise ConfigError("spoc_run takes no batch_sizes; use batch_spoc_run", key="batch_sizes")
-    return _execute(config, ALGO_SPOC, workers)
+    return _execute(config, ALGO_SPOC, workers)[0]
 
 
 def batch_spoc_run(config: SimConfig, workers: int = 1) -> RunResult:
@@ -765,7 +735,7 @@ def batch_spoc_run(config: SimConfig, workers: int = 1) -> RunResult:
         ALGO_BATCH,
         workers,
         notes=("batch drift and diffusion both evaluate the previous frozen measure",),
-    )
+    )[0]
 
 
 def classical_poc_run(config: SimConfig, workers: int = 1) -> RunResult:
@@ -773,7 +743,7 @@ def classical_poc_run(config: SimConfig, workers: int = 1) -> RunResult:
     the current empirical measure (the one-shot baseline; changing N means
     recomputing the whole system)."""
     cfg = config if config.batch_sizes is None else replace(config, batch_sizes=None)
-    return _execute(cfg, ALGO_CLASSICAL, workers)
+    return _execute(cfg, ALGO_CLASSICAL, workers)[0]
 
 
 # -- reference solutions ------------------------------------------------------
@@ -887,20 +857,20 @@ def reference_run(
         store_paths=store_paths,
         measure_backend="full_atoms",
     )
-    run = classical_poc_run(surrogate_cfg, workers=workers)
+    run, merged = _execute(surrogate_cfg, ALGO_CLASSICAL, workers)
     samples = {
         mi: run.snapshots[(0, n_ref, mi)] for mi in config.checkpoint_indices
     }
     return ReferenceSolution(
         kind="surrogate_classical",
         times=times,
-        mean=run._mean_grid[0],  # full-grid moments, indexable by grid position
-        second=run._second_grid[0],
+        mean=merged["mean_grid"][0],  # full-grid moments, indexable by grid position
+        second=merged["second_grid"][0],
         fine_times=None,
         fine_mean=None,
         fine_second=None,
         samples=samples,
-        paths=run.paths[0] if run.paths is not None else None,
+        paths=None,  # classical runs store no paths
         n_ref=n_ref,
     )
 
@@ -927,11 +897,8 @@ def _decoupled_samples(model, config: SimConfig, ref_mean, ref_second) -> dict:
         keep[0] = x.copy()
     for m in range(1, M + 1):
         view = MomentView(ref_mean[m - 1], ref_second[m - 1])
-        b = model.drift(times[m - 1], x, view)
-        s = model.diffusion(times[m - 1], x, view)
-        x = x + np.asarray(b) * dt + _apply_diffusion(s, dw[:, m - 1])
-        if dual:
-            x = x + model.additive_amplitude * db[:, m - 1]
+        x = _em_step(model, times[m - 1], x, view, dw[:, m - 1],
+                     db[:, m - 1] if dual else None, dt)
         if paths is not None:
             paths[:, m] = x
         if m in config.checkpoint_indices:
@@ -976,9 +943,9 @@ def coupled_spoc_run(config: SimConfig, workers: int = 1) -> CoupledRunResult:
         config.M * 10,
     )
     ref = (fine_mean[::10], fine_second[::10])
-    result = _execute(config, ALGO_SPOC, workers, ref_moments=ref)
+    result, merged = _execute(config, ALGO_SPOC, workers, ref_moments=ref)
     return CoupledRunResult(
-        run=result, gap_kn=result._gap_kn, gap_at_milestone=result._gap_last
+        run=result, gap_kn=merged["gap_kn"], gap_at_milestone=merged["gap_last"]
     )
 
 
@@ -997,7 +964,6 @@ def save_run(result: RunResult, out_dir) -> None:
         "milestones": list(result.milestones),
         "checkpoint_times": list(result.checkpoint_times),
         "replications": result.config.replications,
-        "wall_time_s": result.wall_time_s,
         "n_steps": result.n_steps,
         "notes": list(result.notes),
         "complete": False,
@@ -1090,7 +1056,7 @@ def load_run(out_dir) -> RunResult:
         second_traj=second_traj,
         snapshots=snapshots,
         paths=paths,
-        wall_time_s=manifest["wall_time_s"],
+        wall_time_s=None,
         n_steps=manifest["n_steps"],
         notes=tuple(manifest.get("notes", ())),
     )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spoc.battery import run_battery
 from spoc.cli import dispatch
 
@@ -35,16 +37,15 @@ def test_simulate_writes_manifest_and_outputs(tmp_path):
 
 
 def test_simulate_rerun_reproduces_outputs_bitwise(tmp_path):
-    cfg = write_config(tmp_path, measure_backend="full_atoms")
+    cfg = write_config(tmp_path, measure_backend="full_atoms", store_paths=True)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out1 / "summary.csv").read_text() == (out2 / "summary.csv").read_text()
-    s1 = sorted((out1 / "snapshots").glob("*.csv"))
-    s2 = sorted((out2 / "snapshots").glob("*.csv"))
-    assert [p.name for p in s1] == [p.name for p in s2]
-    for a, b in zip(s1, s2):
-        assert a.read_text() == b.read_text()
+    files = sorted(str(p.relative_to(out1)) for p in out1.rglob("*") if p.is_file())
+    assert files == sorted(str(p.relative_to(out2)) for p in out2.rglob("*") if p.is_file())
+    assert {"manifest.json", "summary.csv", "paths.bin"} <= set(files)
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_config_error_unknown_key(tmp_path, capsys):
@@ -90,6 +91,31 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
                      "--set", "nonsense=1"])
     assert code == 2
     assert "nonsense" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets, key", [
+    (["model.name=nope"], "model.name"),
+    (['model.params={"gamma": 1.0}'], "model.params"),
+    (["schedule.kind=geometric"], "schedule.q"),
+    (["schedule.kind=power_law"], "schedule.r"),
+    ([], None),
+], ids=["unknown_model", "unknown_param", "geometric_without_q", "power_law_without_r",
+        "truncated_manifest"])
+def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, sets, key):
+    cfg = write_config(tmp_path, N=50, milestones=[50])
+    out = tmp_path / "o"
+    if key is None:
+        # an interrupted save leaves a truncated manifest: the run is redone
+        out.mkdir()
+        (out / "manifest.json").write_text('{"schema": "spoc-run-v1", "comp')
+    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    code = dispatch(argv + [a for s in sets for a in ("--set", s)])
+    if key is None:
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["complete"] is True
+    else:
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 def test_blowup_exit_code(tmp_path, capsys):
@@ -146,6 +172,15 @@ def test_compare_outputs_matched_tables(tmp_path):
     cls_ns = [row.split(",")[0] for row in cls[1:]]
     assert seq_ns == cls_ns == ["100", "200", "400"]
     assert (out / "compare_mean_abs_err.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["rates", "compare"])
+def test_two_milestones_report_no_fit(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, N=100, milestones=[50, 100], replications=2,
+                       metric="mean_abs_err", measure_backend="summary_only")
+    out = tmp_path / command
+    assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert "no fit (fewer than 3 milestones)" in capsys.readouterr().out
 
 
 def test_density_outputs(tmp_path):

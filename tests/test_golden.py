@@ -95,11 +95,17 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def _plain_key(key):
+    """A snapshot key with plain-int parts, so that the digest hashes the key's
+    numbers and not the integer type a driver happens to build it from."""
+    return tuple(int(k) for k in key) if isinstance(key, tuple) else int(key)
+
+
 def _snapshots_digest(snapshots: dict) -> str:
     h = hashlib.sha256()
     for key in sorted(snapshots):
         snap = snapshots[key]
-        h.update(repr(key).encode())
+        h.update(repr(_plain_key(key)).encode())
         if isinstance(snap, WeightedEmpirical):
             h.update(_digest(snap.atoms, snap.weights).encode())
         else:
@@ -226,7 +232,7 @@ GOLDEN = {
     "batch_ou_full": {
         "mean_traj": "0fa0abfb1f8efee3098072a5d194ccd22bcaa4d869b60a19cee6d2e4eb9b297a",
         "second_traj": "baba5e72aaa34c58d034f0015db162547361047bf819efb532b10637e2e12e0e",
-        "snapshots": "6157e2a984db22608027d0ff66f7d2d7f96b4a2626247a661ec1836c9af3f768",
+        "snapshots": "a412850cfd25a77f82d4dbefbaf85f7ae09031ffd4aa6859504ade7de9fdd10f",
     },
     "classical_full_measure": {
         "mean_traj": "51fc005ac6a8ad97a616eac4650dbe4a873d72ebcdd6ead7c3bab370d9f91ffb",
@@ -246,24 +252,24 @@ GOLDEN = {
         "gap_kn": "56b3e1fb801b46d6c2aa0017de5e0f728944688c3a7516004fa41db20aa2fcee",
         "mean_traj": "0ba1485d334f0473608269504b25a76bd620c7d8efe447a2d28c85074c70553f",
         "second_traj": "37c664237612353bf217bd703b87e01221ed16758a3fc7260aa24265e91f075d",
-        "snapshots": "bb9c635b9cc47f985bc7f24cd230923c0f7ab271634b0a4ba8d85e221a605b9f",
+        "snapshots": "b61b45ce80ea472748acf5f4dce14e4287cbe5383b803c3165de69f91dc1dcaa",
     },
     "curie_weiss_gaussian_full_paths": {
         "mean_traj": "59a7b6ae38d7c0337222e4e2a52719c4383d87c6aafb332c1ca3d3dbde446bcc",
         "paths": "388648d065579f12d83827c09ea5f1eab348a48f27acf329cc25914d4ead6269",
         "second_traj": "0dd8776e5a6e05fc752a4a546cae3680e3bf315e966d574da2ebcfdd06ab5689",
-        "snapshots": "fd6a8c8fb0149aa1edfdb085a0a47a76dd9763ebd0f294b0574bfe6a24a68d75",
+        "snapshots": "5f4b7ad16a2a5830efb083de367fde4deb7cdb438f6fd8e13e890dbecd94b6c5",
     },
     "full_measure_dual_noise": {
         "mean_traj": "e99a7f5611a479e91e7af55ead51896dbc35f15ba2db19bec1add337f955b158",
         "paths": "c4bb1c74920e9b6c5b78ee1abf8a9337190ab3bd6a21829ae5725473043c50fc",
         "second_traj": "4d682964cec1c1b677850bf5e1f3da894e4be3c7520d39180685610ce3335b7b",
-        "snapshots": "d9dbd60c2b4b45b48d437a5876baf1507d3a5a2962fcc4c841776e8f5b644854",
+        "snapshots": "068065118b4493ecc0127299fb5ec2568668ce310e5874f03659415531af832d",
     },
     "ou_point_summary": {
         "mean_traj": "735cdc614af04b0fb42713400fdf2435510791f7d067ad809251a6d3a51d83bf",
         "second_traj": "53074d5c3581e11a869300b8e9d55bb0ffc48d3bcadb8cfd82b143df0b7a670f",
-        "snapshots": "1c9018a4f16d1ef7f09b5c21aa2879df36f9820e3b21f9afb8843d753cde6272",
+        "snapshots": "614ab810da399c1e35ab1c966dc5733ca5c2ee34c8af08f9e11bdf2a4207092a",
     },
     "reference_moment_closure": {
         "mean": "457ec462ecacf94a1d09a0141f34492602478aefa99852f463eb5853712f2feb",
@@ -279,12 +285,12 @@ GOLDEN = {
     "repulsive3d_point_full": {
         "mean_traj": "e1d3b46598521b7e4fc29a34791be5009ea0a84e1caab0bbf19bd76ad688969a",
         "second_traj": "f4136d2c232bbfbdfbae3e1fb77198e28c6ba31b66ad2fbbbfc2d63e705050e0",
-        "snapshots": "c6de94d78424e68796f08bbb9b817f1145eb569baecdaf8b89a5ff6c29cc71b2",
+        "snapshots": "11c15c7764cc1a02295c4ee84f0fe5fdd1cc50ab94cc6291a900c8f9a49aaefe",
     },
     "unit_tail_schedule": {
         "mean_traj": "d5a3f518e8fb8803907e7aaab7c94134ef52b27f0d6f70486d801e1b04bdba49",
         "second_traj": "3aec45f2603e3735551d7a2c26f132ee018bc188a2511c1d605161d5d560a9ff",
-        "snapshots": "e769b2cd390338867c54e83bd094dd176f6e0c001e918fdad9259c6b3bded9ef",
+        "snapshots": "35e2a0f7da992462443670971911167c1d3c336e60f28be0230b1e015533759d",
     },
 }
 

@@ -42,6 +42,13 @@ NOISE_ADDITIVE_PLUS_FREE = "additive_plus_measure_free"
 class ModelSpec:
     """Drift b(t, x, mu-view) and diffusion sigma(t, x, mu-view) with metadata.
 
+    t is a float or an array that broadcasts against x[..., :1]: sequential
+    runs of moment-interaction models step many particles at different grid
+    times in one call, and pass t with shape (L, 1, 1) for x of shape
+    (L, R, dim).  The view fields then carry the same leading axes as x
+    (mean (L, R, dim), raw_second_moment (L, R)).  An evaluator that reads t
+    combines it with x-shaped terms, e.g. t * view.raw_second_moment[..., None].
+
     diffusion returns a scalar / (...,) array (meaning sigma * identity) or a
     (..., dim, dim) matrix.  additive_amplitude is the amplitude of an extra
     measure-free additive noise term (the sigma(t,x) dW + dB form); zero when

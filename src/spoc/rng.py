@@ -14,8 +14,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# particles per bulk draw; a pure performance knob, bit-neutral by construction
-NOISE_CHUNK = 4096
+# particles per bulk draw; a pure performance and memory knob (a sequential run
+# holds one such buffer per replication), bit-neutral by construction
+NOISE_CHUNK = 1024
 
 
 def replication_stream(seed: int, replication: int) -> np.random.Generator:

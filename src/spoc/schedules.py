@@ -131,20 +131,24 @@ class UpdateSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UpdateSchedule":
+        """Inverse of to_dict; a missing or invalid value raises ConfigError."""
         kind = d.get("kind")
         max_n = d.get("max_n")
         needs = {"power_law": "r", "geometric": "q", "explicit": "values"}.get(kind)
         if needs is not None and d.get(needs) is None:
             raise ConfigError(f"a {kind} schedule needs {needs!r}", key=f"schedule.{needs}")
-        if kind == "harmonic":
-            return cls.harmonic(max_n or 10**6)
-        if kind == "power_law":
-            return cls.power_law(d["r"], max_n or 10**6)
-        if kind == "geometric":
-            return cls.geometric(d["q"], max_n or 1000)
-        if kind == "explicit":
-            return cls.explicit(d["values"], max_n)
-        raise InvalidScheduleError(f"unknown schedule kind {kind!r}")
+        try:
+            if kind == "harmonic":
+                return cls.harmonic(max_n or 10**6)
+            if kind == "power_law":
+                return cls.power_law(d["r"], max_n or 10**6)
+            if kind == "geometric":
+                return cls.geometric(d["q"], max_n or 1000)
+            if kind == "explicit":
+                return cls.explicit(d["values"], max_n)
+            raise InvalidScheduleError(f"unknown schedule kind {kind!r}")
+        except InvalidScheduleError as e:
+            raise ConfigError(str(e), key="schedule") from e
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ Three algorithms over a shared Euler-Maruyama core:
 * sequential runs (`spoc_run`): particle n is simulated against the frozen
   measures of particles 1..n-1 and then folded in with rate alpha_n -- adding
   particles never touches existing ones, so milestone snapshots from one long
-  run are bit-identical to shorter runs;
+  run are bit-identical to shorter runs.  Moment-interaction models step one
+  anti-diagonal of (particle, grid time) cells per vectorised call;
 * batch runs (`batch_spoc_run`): whole batches simulated against the previous
   frozen measure and folded in with the batch empirical average;
 * classical mean-field runs (`classical_poc_run`): all N particles advance
@@ -323,8 +324,9 @@ def _apply_diffusion(sig, dw: np.ndarray) -> np.ndarray:
     raise DimensionMismatchError(f"diffusion output shape {sig.shape} does not fit increments")
 
 
-def _em_step(model: ModelSpec, t: float, x: np.ndarray, view, dw: np.ndarray, db, dt: float):
-    """One Euler-Maruyama step x + b dt + sigma dW against a measure view.
+def _em_step(model: ModelSpec, t, x: np.ndarray, view, dw: np.ndarray, db, dt: float):
+    """One Euler-Maruyama step x + b dt + sigma dW against a measure view; t is
+    a float or an array that broadcasts against x[..., :1].
 
     db holds the measure-free dB increments of the additive-plus-free noise
     form, or is None.  Every driver steps through here, so the floating-point
@@ -340,9 +342,9 @@ def _em_step(model: ModelSpec, t: float, x: np.ndarray, view, dw: np.ndarray, db
 
 def _check_finite_path(x_path: np.ndarray, particle: int, rep_ids) -> None:
     """x_path: (M+1, R, dim).  Locates the first bad (step, replication) for context."""
-    ok = np.isfinite(x_path).all(axis=2) & (np.abs(x_path).max(axis=2) <= BLOWUP_LIMIT)
-    if ok.all():
+    if np.abs(x_path).max() <= BLOWUP_LIMIT:  # a NaN maximum fails this too
         return
+    ok = np.isfinite(x_path).all(axis=2) & (np.abs(x_path).max(axis=2) <= BLOWUP_LIMIT)
     bad = np.argwhere(~ok)
     m, r = int(bad[0, 0]), int(bad[0, 1])
     raise BlowUpError(
@@ -377,6 +379,28 @@ def _weights_at(n: int, alphas: np.ndarray, lw: np.ndarray | None) -> np.ndarray
     return alphas[:n] * sfx
 
 
+def _atom_snapshots(atoms_cp: np.ndarray, n: int, weights, rep_ids, cp_idx) -> dict:
+    """Snapshots of the first n atoms, keyed (replication, n, grid index);
+    atoms_cp is (R, N, len(cp_idx), dim)."""
+    return {
+        (rep, n, int(mi)): WeightedEmpirical(atoms_cp[ri, :n, ci, :].copy(), weights.copy())
+        for ri, rep in enumerate(rep_ids)
+        for ci, mi in enumerate(cp_idx)
+    }
+
+
+def _summary_snapshots(mean_traj, second_traj, milestones, rep_ids, cp_idx) -> dict:
+    """Summary snapshots of the milestone moments, keyed (replication, n, grid index)."""
+    return {
+        (rep, n, int(mi)): SummaryStats(
+            mean=mean_traj[ri, l, ci].copy(), raw_second_moment=float(second_traj[ri, l, ci])
+        )
+        for l, n in enumerate(milestones)
+        for ri, rep in enumerate(rep_ids)
+        for ci, mi in enumerate(cp_idx)
+    }
+
+
 def _chunk_reps(replications: int, workers: int):
     ids = list(range(replications))
     if workers <= 1 or replications == 1:
@@ -406,14 +430,167 @@ def _merge_chunks(parts: list[dict], rep_order: list[list[int]]) -> dict:
 # -- core drivers ------------------------------------------------------------
 
 
-def _sequential_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -> dict:
-    """Simulate one replication chunk of a sequential run, or of a batch run
-    when the config has batch_sizes.
+def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -> dict:
+    """Simulate one replication chunk of a sequential run of a moment-interaction
+    model, one anti-diagonal of (particle, grid time) cells at a time.
+
+    Cell (k, j) steps particle k from t_j to t_{j+1} against mu_{k-1}(t_j),
+    then folds x_k(t_j) into mu(t_j).  It reads only x_k(t_j) and
+    mu_{k-1}(t_j), which absorbed x_{k-1}(t_j) on the previous anti-diagonal,
+    so all cells with k + j = w are independent (Lamport's hyperplane method).
+    Wave w steps its lanes in one _em_step call and then, after that wave's
+    reads, folds each lane's input state.  A run takes N + M waves instead of
+    N*M particle steps; every cell does the same elementwise arithmetic as a
+    particle-by-particle loop, so the bits are the same.  Replications evolve
+    in lockstep along a vector axis, so chunking is bit-neutral.
+
+    When ref_moments is given (coupled runs), each particle has a companion
+    driven by the reference moment curves with the same increments, stepped
+    by a second _em_step call per wave.
+    """
+    model, init = config.model, config.initial
+    dim, M, N, dt = model.dim, config.M, config.N, config.dt
+    Rc = len(rep_ids)
+    times = config.times()[:, None, None]  # broadcasts against x[..., :1]
+    sqdt = np.sqrt(dt)
+    alphas = config.schedule.alphas(N)
+    cp_idx = np.asarray(config.checkpoint_indices, dtype=int)
+    n_cp = cp_idx.size
+    milestones = config.milestones
+    milestone_set = {n: l for l, n in enumerate(milestones)}
+    full_atoms = config.measure_backend == "full_atoms"
+    dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
+    coupled = ref_moments is not None
+    lw = None if config.schedule.has_unit_tail(N) else _milestone_log_weights(alphas)
+
+    width = block_width(dim, M, init.needs_noise, dual)
+    streams = [BlockStream(replication_stream(config.seed, r), width) for r in rep_ids]
+    x0_off = dim if init.needs_noise else 0
+
+    # Row w % S of xs is wave w's anti-diagonal x_{w-j}(t_j), j = 0..M, so the
+    # path of particle k is xs[(k + j) % S, j].  Row w % S2 of dws holds the
+    # increments of the cells (w - j, j).  Noise is taken S particles at a time.
+    S, S2 = M + 1, 2 * (M + 1)
+    steps, cols = np.arange(M), np.arange(M + 1)
+    prows = (np.arange(S)[:, None] + cols) % S  # rows of xs on particle k's path
+    xs = np.empty((S, M + 1, Rc, dim))
+    dws = np.empty((S2, M, Rc, dim))
+    dbs = np.empty_like(dws) if dual else None
+
+    mean = np.zeros((M + 1, Rc, dim))
+    second = np.zeros((M + 1, Rc))
+    atoms_cp = np.zeros((Rc, N, n_cp, dim)) if full_atoms else None
+    paths = np.zeros((Rc, N, M + 1, dim)) if config.store_paths else None
+
+    mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
+    second_traj = np.zeros((Rc, len(milestones), n_cp))
+    # mu_n(t_j) is complete once particle n folds at t_j, on wave n - 1 + j
+    captures = {}
+    for l, n in enumerate(milestones):
+        for ci, mi in enumerate(cp_idx):
+            captures.setdefault(n - 1 + int(mi), []).append((l, ci, mi))
+    snapshots = {}
+    if coupled:
+        ys = np.empty_like(xs)
+        ref_mean = ref_moments[0][:, None, :]  # (M+1, 1, dim)
+        ref_second = ref_moments[1][:, None]  # (M+1, 1)
+        gap_kn = np.zeros((Rc, len(milestones)))
+        gap_last = np.zeros((Rc, len(milestones)))
+        kn_gap_state = np.zeros(Rc)
+        trap_w = np.full(M + 1, dt)
+        trap_w[0] = trap_w[-1] = 0.5 * dt
+
+    # overflow on a diverging path is caught by the finite check at completion
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in range(N + M):
+            cur, nxt = w % S, (w + 1) % S
+            if w < N:  # particle index w (0-based) enters at t_0
+                if cur == 0:
+                    c = min(S, N - w)
+                    rows = (w + np.arange(c)[:, None] + steps) % S2
+                    z0 = np.empty((Rc, c, x0_off))
+                    for ri, stream in enumerate(streams):
+                        block = stream.take(c)
+                        z0[ri] = block[:, :x0_off]
+                        inc = block[:, x0_off:].reshape(c, -1, M, dim) * sqdt
+                        dws[rows, steps, ri] = inc[:, 0]
+                        if dual:
+                            dbs[rows, steps, ri] = inc[:, 1]
+                    x0s = init.from_block(z0, dim)
+                at = (cols, cols) if w == 0 else (cur, 0)  # the first particle stays put
+                xs[at] = x0s[:, cur]
+                if coupled:
+                    ys[at] = x0s[:, cur]
+
+            # lanes j in [lo, hi] hold particles k = w - j; all but j = M and
+            # the frozen first particle (j = w) step
+            lo, hi = max(0, w - N + 1), min(w, M)
+            if hi > lo:
+                t, dw = times[lo:hi], dws[w % S2, lo:hi]
+                db = dbs[w % S2, lo:hi] if dual else None
+                view = MomentView(mean[lo:hi], second[lo:hi])
+                xs[nxt, lo + 1 : hi + 1] = _em_step(model, t, xs[cur, lo:hi], view, dw, db, dt)
+                if coupled:
+                    view = MomentView(ref_mean[lo:hi], ref_second[lo:hi])
+                    ys[nxt, lo + 1 : hi + 1] = _em_step(model, t, ys[cur, lo:hi], view,
+                                                        dw, db, dt)
+
+            # fold the lanes' input states: the arithmetic of _recursive_update
+            x = xs[cur, lo : hi + 1]
+            a = alphas[w - hi : w - lo + 1][::-1, None, None]
+            m = mean[lo : hi + 1]
+            mean[lo : hi + 1] = np.where(a == 1.0, x, m + a * (x - m))
+            x2, a, m = (x**2).sum(axis=2), a[..., 0], second[lo : hi + 1]
+            second[lo : hi + 1] = np.where(a == 1.0, x2, m + a * (x2 - m))
+            for l, ci, mi in captures.get(w, ()):
+                mean_traj[:, l, ci] = mean[mi]
+                second_traj[:, l, ci] = second[mi]
+
+            k = w - M  # particle index k (0-based) has its whole path now
+            if k < 0:
+                continue
+            prow = prows[k % S]
+            xp = xs[prow, cols]  # (M+1, Rc, dim)
+            if k > 0:
+                _check_finite_path(xp, k + 1, rep_ids)
+            if coupled:
+                diff = xp - ys[prow, cols]
+                gap = np.einsum("m,mr->r", trap_w, np.sum(diff**2, axis=2)) / config.T
+                _recursive_update(kn_gap_state, gap, alphas[k])
+            if full_atoms:
+                atoms_cp[:, k] = xp[cp_idx].transpose(1, 0, 2)
+            if paths is not None:
+                paths[:, k] = xp.transpose(1, 0, 2)
+            l = milestone_set.get(k + 1)
+            if l is None:
+                continue
+            if coupled:
+                gap_kn[:, l] = kn_gap_state
+                gap_last[:, l] = gap
+            if full_atoms:
+                wts = _weights_at(k + 1, alphas, lw)
+                snapshots.update(_atom_snapshots(atoms_cp, k + 1, wts, rep_ids, cp_idx))
+
+    if not full_atoms:
+        snapshots = _summary_snapshots(mean_traj, second_traj, milestones, rep_ids, cp_idx)
+    return {
+        "mean_traj": mean_traj,
+        "second_traj": second_traj,
+        "snapshots": snapshots,
+        "paths": paths,
+        "gap_kn": gap_kn if coupled else None,
+        "gap_last": gap_last if coupled else None,
+        "n_steps": M * (N - 1) * Rc,
+        "notes": (),
+    }
+
+
+def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
+    """Simulate one replication chunk of a batch run, or of a sequential run of
+    a full-measure model (batches of one particle).
 
     Replications evolve in lockstep along a leading vector axis; all
     per-replication arithmetic is elementwise, so chunking is bit-neutral.
-    When ref_moments is given (coupled runs) a synchronously-coupled particle
-    driven by the reference moment curves consumes the same increments.
     """
     model, sched, init = config.model, config.schedule, config.initial
     dim, M, N, dt = model.dim, config.M, config.N, config.dt
@@ -428,12 +605,11 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -
     full_atoms = config.measure_backend == "full_atoms"
     moment_only = model.interaction_form == INTERACTION_MOMENT
     dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
-    coupled = ref_moments is not None
 
     batches = config.batch_sizes or (1,) * N
-    starts = np.concatenate([[0], np.cumsum(batches)])
+    starts = [0, *np.cumsum(batches).tolist()]
     if config.batch_sizes is not None:
-        bad = [n for n in milestones if n not in set(starts.tolist())]
+        bad = [n for n in milestones if n not in set(starts)]
         if bad:
             raise ConfigError(
                 f"milestones {bad} do not align with batch boundaries", key="milestones"
@@ -454,15 +630,6 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -
     mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
     second_traj = np.zeros((Rc, len(milestones), n_cp))
     snapshots = {}
-    gap_kn = np.zeros((Rc, len(milestones))) if coupled else None
-    gap_last = np.zeros((Rc, len(milestones))) if coupled else None
-    kn_gap_state = np.zeros(Rc) if coupled else None
-    if coupled:
-        ref_mean, ref_second = ref_moments  # arrays (M+1, dim), (M+1,)
-        trap_w = np.full(M + 1, dt)
-        trap_w[0] = trap_w[-1] = 0.5 * dt
-
-    y_path = np.empty((M + 1, Rc, dim)) if coupled else None
     n_steps = 0
     x0_off = dim if init.needs_noise else 0
 
@@ -472,8 +639,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -
         blocks = np.stack([s.take(size) for s in streams])  # (Rc, size, width)
         z0 = blocks[:, :, :x0_off] if init.needs_noise else blocks[:, :, :0]
         x0 = init.from_block(z0, dim)  # (Rc, size, dim)
-        frozen = n_batch == 1  # first particle/batch stays at its initial value
-        if frozen:
+        if n_batch == 1:  # the first batch stays at its initial value
             bpath = np.broadcast_to(x0.mean(axis=1)[None], (M + 1, Rc, dim)).copy()
             xs_full = np.broadcast_to(x0[None], (M + 1, Rc, size, dim))
         else:
@@ -517,21 +683,6 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -
             )
             bpath = xs_full.mean(axis=2)  # batch empirical average per grid time
 
-        if coupled:
-            if frozen:
-                y_path[...] = bpath
-            else:
-                y = x0[:, 0, :].copy()  # coupled runs use batch size 1
-                y_path[0] = y
-                for m in range(1, M + 1):
-                    view = MomentView(ref_mean[m - 1], ref_second[m - 1])
-                    y = _em_step(model, times[m - 1], y, view, dw[:, 0, m - 1],
-                                 db[:, 0, m - 1] if dual else None, dt)
-                    y_path[m] = y
-            diff = bpath - y_path
-            gap = np.einsum("m,mr->r", trap_w, np.sum(diff**2, axis=2)) / config.T
-            _recursive_update(kn_gap_state, gap, alpha)
-
         _recursive_update(mean, bpath, alpha)
         _recursive_update(second, np.sum(bpath**2, axis=2), alpha)
 
@@ -547,34 +698,22 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -
             l = milestone_set[end]
             mean_traj[:, l] = mean[cp_idx].transpose(1, 0, 2)
             second_traj[:, l] = second[cp_idx].transpose(1, 0)
-            if coupled:
-                gap_kn[:, l] = kn_gap_state
-                gap_last[:, l] = gap
             if full_atoms:
                 # batch-level weights spread uniformly over each batch's atoms
                 wb = _weights_at(n_batch, alphas, lw)
                 w = np.repeat(wb / np.asarray(batches[: n_batch], dtype=float),
                               batches[:n_batch])
-                for ri, rep in enumerate(rep_ids):
-                    for ci, mi in enumerate(cp_idx):
-                        snapshots[(rep, end, int(mi))] = WeightedEmpirical(
-                            atoms_cp[ri, :end, ci, :].copy(), w.copy()
-                        )
-            else:
-                for ri, rep in enumerate(rep_ids):
-                    for ci, mi in enumerate(cp_idx):
-                        snapshots[(rep, end, int(mi))] = SummaryStats(
-                            mean=mean[mi, ri].copy(),
-                            raw_second_moment=float(second[mi, ri]),
-                        )
+                snapshots.update(_atom_snapshots(atoms_cp, end, w, rep_ids, cp_idx))
 
+    if not full_atoms:
+        snapshots = _summary_snapshots(mean_traj, second_traj, milestones, rep_ids, cp_idx)
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
         "snapshots": snapshots,
         "paths": paths,
-        "gap_kn": gap_kn,
-        "gap_last": gap_last,
+        "gap_kn": None,
+        "gap_last": None,
         "n_steps": n_steps,
         "notes": (),
     }
@@ -647,16 +786,11 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
 
     mean_traj = mean_t[cp_idx].transpose(1, 0, 2)[:, None, :, :]
     second_traj = second_t[cp_idx].transpose(1, 0)[:, None, :]
-    snapshots = {}
-    w = np.full(N, 1.0 / N)
-    for ri, rep in enumerate(rep_ids):
-        for ci, mi in enumerate(cp_idx):
-            if full_atoms:
-                snapshots[(rep, N, int(mi))] = WeightedEmpirical(keep_cp[ci, ri].copy(), w.copy())
-            else:
-                snapshots[(rep, N, int(mi))] = SummaryStats(
-                    mean=mean_t[mi, ri].copy(), raw_second_moment=float(second_t[mi, ri])
-                )
+    if full_atoms:
+        snapshots = _atom_snapshots(keep_cp.transpose(1, 2, 0, 3), N, np.full(N, 1.0 / N),
+                                    rep_ids, cp_idx)
+    else:
+        snapshots = _summary_snapshots(mean_traj, second_traj, (N,), rep_ids, cp_idx)
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
@@ -683,8 +817,10 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
     t0 = time.perf_counter()
     if algorithm == ALGO_CLASSICAL:
         run_chunk = partial(_classical_chunk, config)
+    elif config.batch_sizes is None and config.model.interaction_form == INTERACTION_MOMENT:
+        run_chunk = partial(_wavefront_chunk, config, ref_moments=ref_moments)
     else:
-        run_chunk = partial(_sequential_chunk, config, ref_moments=ref_moments)
+        run_chunk = partial(_sequential_chunk, config)
     chunks = _chunk_reps(config.replications, workers)
     if len(chunks) == 1:
         parts = [run_chunk(chunks[0])]
@@ -804,7 +940,7 @@ def reference_run(
     Models with a closed moment system: RK4 at step dt/10 for the moment
     curves, then n_ref decoupled Euler paths fed by those curves (samples per
     checkpoint).  Other models: a classical surrogate at n_ref >= 10*N,
-    flagged as such.  The stream seed is offset from config.seed so oracles
+    flagged as such; it has no paths, so store_paths raises ConfigError.  The stream seed is offset from config.seed so oracles
     stay seed-disjoint from test runs.
     """
     seed = (config.seed ^ REFERENCE_SEED_XOR) if seed is None else seed
@@ -846,6 +982,11 @@ def reference_run(
             n_ref=n_ref,
             clamp_count=clamps,
         )
+    if store_paths:
+        raise ConfigError(
+            f"model {model.name!r} has no moment ODE, and its classical surrogate "
+            "reference stores no paths", key="store_paths"
+        )
     n_ref = 10 * config.N if n_ref is None else n_ref
     surrogate_cfg = replace(
         config,
@@ -854,7 +995,7 @@ def reference_run(
         replications=1,
         milestones=None,
         batch_sizes=None,
-        store_paths=store_paths,
+        store_paths=False,
         measure_backend="full_atoms",
     )
     run, merged = _execute(surrogate_cfg, ALGO_CLASSICAL, workers)
@@ -870,7 +1011,7 @@ def reference_run(
         fine_mean=None,
         fine_second=None,
         samples=samples,
-        paths=None,  # classical runs store no paths
+        paths=None,
         n_ref=n_ref,
     )
 
@@ -933,6 +1074,8 @@ def coupled_spoc_run(config: SimConfig, workers: int = 1) -> CoupledRunResult:
         raise ConfigError(
             "coupled runs need a model with a closed moment system", key="model"
         )
+    if config.model.interaction_form != INTERACTION_MOMENT:
+        raise ConfigError("coupled runs need a moment-interaction model", key="model")
     if config.batch_sizes is not None:
         raise ConfigError("coupled runs are particle-by-particle", key="batch_sizes")
     fine_mean, fine_second, _ = _rk4_moments(

@@ -98,9 +98,10 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     (['model.params={"gamma": 1.0}'], "model.params"),
     (["schedule.kind=geometric"], "schedule.q"),
     (["schedule.kind=power_law"], "schedule.r"),
+    (["schedule.kind=geometric", "schedule.q=2"], "schedule"),
     ([], None),
 ], ids=["unknown_model", "unknown_param", "geometric_without_q", "power_law_without_r",
-        "truncated_manifest"])
+        "geometric_q_out_of_range", "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, sets, key):
     cfg = write_config(tmp_path, N=50, milestones=[50])
     out = tmp_path / "o"

@@ -18,7 +18,8 @@ from spoc import (
     spoc_run,
 )
 from spoc.measures import WeightedEmpirical, summary_stats
-from spoc.simulate import load_paths
+from spoc.rng import BlockStream, block_width, replication_stream
+from spoc.simulate import MomentView, _em_step, load_paths
 
 
 def ou_config(**kw):
@@ -167,6 +168,14 @@ def test_anytime_milestones_match_shorter_runs():
     assert np.array_equal(long.mean_traj[:, 0], short.mean_traj[:, 0])
 
 
+def test_block_stream_is_refill_size_invariant():
+    # the bulk-draw size is a memory knob only: the blocks do not depend on it
+    a = BlockStream(replication_stream(7, 3), 20, chunk=4096).take(5000)
+    s = BlockStream(replication_stream(7, 3), 20, chunk=1000)
+    b = np.concatenate([s.take(21) for _ in range(239)])[:5000]
+    assert np.array_equal(a, b)
+
+
 def test_worker_count_invariance():
     cfg = ou_config(replications=4)
     r1 = spoc_run(cfg, workers=1)
@@ -271,6 +280,78 @@ def test_full_measure_model_matches_moment_backend():
     assert np.allclose(res_full.second_traj, res_mom.second_traj, atol=1e-9)
 
 
+# -- time-dependent coefficients against a plain per-particle recursion ---------------------
+
+
+# polynomial in t only, so scalar and array t give the same floating-point results
+def _clock_drift(t, x, view):
+    return -x + 0.3 * t - 0.5 * view.mean + 0.1 * t * view.raw_second_moment[..., None]
+
+
+def _clock_diffusion(t, x, view):
+    return 0.4 + 0.2 * t
+
+
+def clock_model():
+    return ModelSpec(name="clock", dim=1, drift=_clock_drift, diffusion=_clock_diffusion,
+                     interaction_form="moment_only", noise_form="measure_dependent")
+
+
+def per_particle_reference(cfg):
+    """The sequential recursion written plainly: a particle loop, then a step
+    loop, with a scalar t.  Returns the grid moments after each particle and
+    the paths, shaped like RunResult.paths."""
+    model, init, M, N, dt = cfg.model, cfg.initial, cfg.M, cfg.N, cfg.dt
+    R, dim = cfg.replications, model.dim
+    alphas = cfg.schedule.alphas(N)
+    x0_off = dim if init.needs_noise else 0
+    width = block_width(dim, M, init.needs_noise, False)
+    streams = [BlockStream(replication_stream(cfg.seed, r), width) for r in range(R)]
+    mean, second = np.zeros((M + 1, R, dim)), np.zeros((M + 1, R))
+    moments, paths = {}, np.zeros((R, N, M + 1, dim))
+    for k in range(N):
+        block = np.stack([s.take(1)[0] for s in streams])  # (R, width)
+        dw = block[:, x0_off:].reshape(R, M, dim) * np.sqrt(dt)
+        path = np.empty((M + 1, R, dim))
+        path[0] = x = init.from_block(block[:, :x0_off], dim)
+        for j in range(M):
+            if k > 0:  # particle 1 stays at its initial value
+                view = MomentView(mean[j], second[j])
+                x = _em_step(model, float(j * dt), x, view, dw[:, j], None, dt)
+            path[j + 1] = x
+        a = alphas[k]
+        for state, value in ((mean, path), (second, np.sum(path**2, axis=2))):
+            state[...] = value if a == 1.0 else state + a * (value - state)
+        paths[:, k] = path.transpose(1, 0, 2)
+        moments[k + 1] = (mean.copy(), second.copy())
+    return moments, paths
+
+
+@pytest.mark.parametrize("backend", ["summary_only", "full_atoms"])
+def test_time_dependent_model_matches_per_particle_recursion(backend):
+    cfg = ou_config(model=clock_model(), initial=InitialCondition.gaussian(0.3, 0.7),
+                    M=7, N=25, milestones=(1, 4, 25), checkpoints=(0.0, 3 / 7, 1.0),
+                    replications=3, measure_backend=backend,
+                    store_paths=backend == "full_atoms")
+    res = spoc_run(cfg)
+    moments, paths = per_particle_reference(cfg)
+    cp = list(cfg.checkpoint_indices)
+    for l, n in enumerate(cfg.milestones):
+        mean, second = moments[n]
+        assert np.array_equal(res.mean_traj[:, l], mean[cp].transpose(1, 0, 2))
+        assert np.array_equal(res.second_traj[:, l], second[cp].T)
+        for r in range(3):
+            for ci, mi in enumerate(cp):
+                snap = res.snapshots[(r, n, mi)]
+                if backend == "full_atoms":
+                    assert np.array_equal(snap.atoms, paths[r, :n, mi])
+                else:
+                    assert np.array_equal(snap.mean, mean[mi, r])
+                    assert snap.raw_second_moment == second[mi, r]
+    if backend == "full_atoms":
+        assert np.array_equal(res.paths, paths)
+
+
 # -- reference and coupled runs ------------------------------------------------------------
 
 
@@ -300,6 +381,14 @@ def test_reference_surrogate_for_models_without_closure():
     assert ref.kind == "surrogate_classical"
     assert ref.n_ref == 200
     assert ref.samples[30].n_atoms == 200
+
+
+def test_surrogate_reference_refuses_to_drop_paths():
+    cfg = ou_config(model=builtin_model("curie_weiss"), N=50, milestones=(50,),
+                    replications=1)
+    with pytest.raises(ConfigError) as exc_info:
+        reference_run(cfg.model, cfg, n_ref=200, store_paths=True)
+    assert exc_info.value.key == "store_paths"
 
 
 def test_coupled_gap_zero_for_measure_free_dynamics():
@@ -362,8 +451,22 @@ def test_blowup_reports_context():
     )
     with pytest.raises(BlowUpError) as exc_info:
         spoc_run(cfg)
-    assert exc_info.value.particle is not None
-    assert exc_info.value.step is not None
+    err = exc_info.value
+    assert (err.particle, err.step, err.replication) == (2, 2, 0)
+
+
+def test_blowup_reports_lowest_particle_across_replications():
+    # a wide gaussian initial: the first particle to diverge is a late one, in
+    # the second replication
+    cfg = ou_config(
+        model=builtin_model("curie_weiss", {"beta": 1.0, "K": 0.5, "sigma": 1.0}),
+        initial=InitialCondition.gaussian(0.0, 2.5),
+        N=200, milestones=(200,), replications=2,
+    )
+    with pytest.raises(BlowUpError) as exc_info:
+        spoc_run(cfg)
+    err = exc_info.value
+    assert (err.particle, err.step, err.replication) == (110, 5, 1)
 
 
 # -- persistence -----------------------------------------------------------------------------

@@ -146,9 +146,9 @@ class UpdateSchedule:
                 return cls.geometric(d["q"], max_n or 1000)
             if kind == "explicit":
                 return cls.explicit(d["values"], max_n)
-            raise InvalidScheduleError(f"unknown schedule kind {kind!r}")
         except InvalidScheduleError as e:
             raise ConfigError(str(e), key="schedule") from e
+        raise ConfigError(f"unknown schedule kind {kind!r}", key="schedule.kind")
 
 
 @dataclass(frozen=True)

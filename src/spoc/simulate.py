@@ -712,8 +712,6 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         "second_traj": second_traj,
         "snapshots": snapshots,
         "paths": paths,
-        "gap_kn": None,
-        "gap_last": None,
         "n_steps": n_steps,
         "notes": (),
     }
@@ -940,8 +938,9 @@ def reference_run(
     Models with a closed moment system: RK4 at step dt/10 for the moment
     curves, then n_ref decoupled Euler paths fed by those curves (samples per
     checkpoint).  Other models: a classical surrogate at n_ref >= 10*N,
-    flagged as such; it has no paths, so store_paths raises ConfigError.  The stream seed is offset from config.seed so oracles
-    stay seed-disjoint from test runs.
+    flagged as such; it has no paths, so store_paths raises ConfigError.  The
+    stream seed is offset from config.seed so oracles stay seed-disjoint from
+    test runs.
     """
     seed = (config.seed ^ REFERENCE_SEED_XOR) if seed is None else seed
     times = config.times()
@@ -995,7 +994,7 @@ def reference_run(
         replications=1,
         milestones=None,
         batch_sizes=None,
-        store_paths=False,
+        store_paths=store_paths,
         measure_backend="full_atoms",
     )
     run, merged = _execute(surrogate_cfg, ALGO_CLASSICAL, workers)
@@ -1011,7 +1010,7 @@ def reference_run(
         fine_mean=None,
         fine_second=None,
         samples=samples,
-        paths=None,
+        paths=None,  # classical runs store no paths
         n_ref=n_ref,
     )
 

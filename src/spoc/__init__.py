@@ -16,6 +16,7 @@ from .errors import (
     MeasureSizeError,
     ModelEvaluationError,
     NumericsError,
+    RunFormatError,
     SingularScheduleError,
     SpocError,
 )

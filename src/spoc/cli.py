@@ -30,6 +30,7 @@ from .battery import run_battery
 from .errors import BlowUpError, ConfigError, SpocError
 from .schedules import UpdateSchedule, schedule_diagnostics, theta_sequence
 from .simulate import (
+    RUN_SCHEMA,
     SimConfig,
     batch_spoc_run,
     classical_poc_run,
@@ -220,7 +221,9 @@ def _cmd_simulate(cfg: dict, args) -> int:
         previous = json.loads((out / "manifest.json").read_text())
     except (OSError, ValueError):
         previous = None  # missing or unreadable: the run is redone
-    if isinstance(previous, dict) and previous.get("complete") \
+    # a run saved in another schema is redone as well
+    if isinstance(previous, dict) and previous.get("schema") == RUN_SCHEMA \
+            and previous.get("complete") \
             and previous.get("config") == config.to_dict() \
             and previous.get("algorithm") == algorithm:
         print(f"run already complete in {out}; nothing to do")

@@ -49,6 +49,10 @@ class NumericsError(SpocError, RuntimeError):
     """Quadrature or optimization did not converge to the requested accuracy."""
 
 
+class RunFormatError(SpocError, ValueError):
+    """A run directory was written in a format this version does not read."""
+
+
 class ConfigError(SpocError, ValueError):
     """Invalid run configuration; carries a dotted key path when available."""
 

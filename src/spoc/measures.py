@@ -9,8 +9,6 @@ f(|x-y|) ground costs), and a sliced estimator for large multi-d instances.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +21,6 @@ from .errors import DimensionMismatchError, MeasureSizeError, NumericsError
 from .schedules import UpdateSchedule
 
 PRUNE_EPS = 1e-15           # weights below this are pruned and the mass renormalized
-_BINARY_MAGIC = b"SPOCWEMP"
 
 
 def _canonical_atoms(atoms) -> np.ndarray:
@@ -53,14 +50,15 @@ class WeightedEmpirical:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if a.shape[0] != w.shape[0] or w.shape[0] < 1:
             raise DimensionMismatchError("need len(atoms) == len(weights) >= 1")
-        if np.any(w < 0.0):
+        # array methods, not np.any / np.all: every snapshot access runs these
+        if (w < 0.0).any():
             raise ValueError("weights must be non-negative")
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(w)):
+        if not (np.isfinite(a).all() and np.isfinite(w).all()):
             raise ValueError("atoms and weights must be finite")
         keep = w > PRUNE_EPS
-        if not np.any(keep):
-            raise ValueError("all weights vanish after pruning")
-        if not np.all(keep):
+        if not keep.all():
+            if not keep.any():
+                raise ValueError("all weights vanish after pruning")
             a, w = a[keep], w[keep]
         w = w / w.sum()
         a = np.ascontiguousarray(a)
@@ -103,39 +101,13 @@ class WeightedEmpirical:
 
     @classmethod
     def from_csv(cls, path) -> "WeightedEmpirical":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls._stored(data[:, :-1], data[:, -1])
-
-    def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        buf.write(_BINARY_MAGIC)
-        buf.write(struct.pack("<IQI", 1, self.n_atoms, self.dim))
-        buf.write(np.ascontiguousarray(self.atoms).tobytes())
-        buf.write(np.ascontiguousarray(self.weights).tobytes())
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "WeightedEmpirical":
-        if raw[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
-            raise ValueError("not a measure snapshot blob")
-        off = len(_BINARY_MAGIC)
-        version, k, dim = struct.unpack_from("<IQI", raw, off)
-        if version != 1:
-            raise ValueError(f"unsupported snapshot version {version}")
-        off += struct.calcsize("<IQI")
-        atoms = np.frombuffer(raw, dtype=float, count=k * dim, offset=off).reshape(k, dim)
-        off += k * dim * 8
-        weights = np.frombuffer(raw, dtype=float, count=k, offset=off)
-        return cls._stored(atoms.copy(), weights)
-
-    @classmethod
-    def _stored(cls, atoms, weights) -> "WeightedEmpirical":
-        """A measure read back from storage.  It passes the checks of a new
+        """A measure read back from to_csv.  It passes the checks of a new
         measure, but weights that are already normalised are kept as stored:
         their sum is 1 only up to rounding, so dividing by it again would move
         some of them by an ulp."""
-        m = cls(atoms=atoms, weights=weights)
-        w = np.array(weights, dtype=float).reshape(-1)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        m = cls(atoms=data[:, :-1], weights=data[:, -1])
+        w = data[:, -1].copy()
         if w.shape == m.weights.shape and abs(w.sum() - 1.0) <= w.size * np.finfo(float).eps:
             w.setflags(write=False)
             object.__setattr__(m, "weights", w)

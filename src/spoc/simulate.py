@@ -21,9 +21,12 @@ of the output.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
 import time
 from collections import namedtuple
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BlowUpError, ConfigError, DimensionMismatchError
+from .errors import BlowUpError, ConfigError, DimensionMismatchError, RunFormatError
 from .measures import SummaryStats, WeightedEmpirical
 from .models import (
     INTERACTION_FULL,
@@ -57,7 +60,9 @@ MomentView = namedtuple("MomentView", ["mean", "raw_second_moment"])
 # measure view handed to full-measure evaluators
 AtomView = namedtuple("AtomView", ["atoms", "weights"])
 
+RUN_SCHEMA = "spoc-run-v2"
 _PATHS_MAGIC = b"SPOCPATH"
+_ATOMS_MAGIC = b"SPOCATOM"
 
 
 @dataclass(frozen=True)
@@ -254,10 +259,10 @@ class RunResult:
     """Per-replication milestone trajectories and snapshots of one run.
 
     mean_traj has shape (R, len(milestones), len(checkpoints), dim) and
-    second_traj (R, len(milestones), len(checkpoints)); snapshots maps
-    (replication, milestone_n, grid_index) to a measure snapshot; paths, when
-    stored, is (R, N, M+1, dim).  wall_time_s is None for a run read back by
-    load_run.
+    second_traj (R, len(milestones), len(checkpoints)); snapshots is a
+    read-only RunSnapshots mapping from (replication, milestone_n, grid_index)
+    to a measure snapshot, built on access; paths, when stored, is
+    (R, N, M+1, dim).  wall_time_s is None for a run read back by load_run.
     """
 
     config: SimConfig
@@ -267,7 +272,7 @@ class RunResult:
     checkpoint_times: tuple[float, ...]
     mean_traj: np.ndarray
     second_traj: np.ndarray
-    snapshots: dict
+    snapshots: RunSnapshots
     paths: np.ndarray | None
     wall_time_s: float | None
     n_steps: int
@@ -281,9 +286,6 @@ class RunResult:
             if abs(c - t) <= GRID_TOL * max(1.0, self.config.T):
                 return i
         raise KeyError(f"no checkpoint at t={t}")
-
-    def save(self, out_dir) -> None:
-        save_run(self, out_dir)
 
 
 def _versions() -> dict:
@@ -379,26 +381,59 @@ def _weights_at(n: int, alphas: np.ndarray, lw: np.ndarray | None) -> np.ndarray
     return alphas[:n] * sfx
 
 
-def _atom_snapshots(atoms_cp: np.ndarray, n: int, weights, rep_ids, cp_idx) -> dict:
-    """Snapshots of the first n atoms, keyed (replication, n, grid index);
-    atoms_cp is (R, N, len(cp_idx), dim)."""
-    return {
-        (rep, n, int(mi)): WeightedEmpirical(atoms_cp[ri, :n, ci, :].copy(), weights.copy())
-        for ri, rep in enumerate(rep_ids)
-        for ci, mi in enumerate(cp_idx)
-    }
+def _milestone_weights(config: SimConfig, algorithm: str, milestones) -> list[np.ndarray]:
+    """Raw atom weights of each milestone's snapshot measure.
+
+    They depend only on the schedule, the batch sizes and n, so a run read
+    back from disk recomputes them bit for bit.  Batch-level weights are
+    spread uniformly over each batch's atoms; classical runs weigh 1/N.
+    """
+    if algorithm == ALGO_CLASSICAL:
+        return [np.full(n, 1.0 / n) for n in milestones]
+    N = config.N
+    alphas = config.schedule.alphas(N)
+    lw = None if config.schedule.has_unit_tail(N) else _milestone_log_weights(alphas)
+    sizes = np.asarray(config.batch_sizes or (1,) * N)
+    ks = np.searchsorted(np.cumsum(sizes), milestones) + 1  # batches in the first n atoms
+    return [np.repeat(_weights_at(k, alphas, lw) / sizes[:k], sizes[:k]) for k in ks]
 
 
-def _summary_snapshots(mean_traj, second_traj, milestones, rep_ids, cp_idx) -> dict:
-    """Summary snapshots of the milestone moments, keyed (replication, n, grid index)."""
-    return {
-        (rep, n, int(mi)): SummaryStats(
-            mean=mean_traj[ri, l, ci].copy(), raw_second_moment=float(second_traj[ri, l, ci])
-        )
-        for l, n in enumerate(milestones)
-        for ri, rep in enumerate(rep_ids)
-        for ci, mi in enumerate(cp_idx)
-    }
+class RunSnapshots(Mapping):
+    """Read-only mapping (replication, milestone n, grid index) -> snapshot.
+
+    A full_atoms run keeps one atom store, atoms_cp of shape (R, N, n_cp, dim),
+    and one raw weight vector per milestone: snapshot (r, n, m) is the
+    WeightedEmpirical of the first n atoms of replication r at checkpoint m.
+    A summary run's snapshots are the SummaryStats of its milestone moments.
+    Each access builds a new immutable measure.
+    """
+
+    def __init__(self, config: SimConfig, algorithm: str, milestones, mean_traj, second_traj,
+                 atoms_cp=None):
+        self.atoms_cp = atoms_cp
+        if atoms_cp is not None:
+            self._weights = _milestone_weights(config, algorithm, milestones)
+        self._mean, self._second = mean_traj, second_traj
+        self._pos = {
+            (r, n, int(mi)): (r, l, c)
+            for l, n in enumerate(milestones)
+            for r in range(mean_traj.shape[0])
+            for c, mi in enumerate(config.checkpoint_indices)
+        }
+
+    def __getitem__(self, key):
+        r, l, c = self._pos[key]
+        if self.atoms_cp is None:
+            return SummaryStats(mean=self._mean[r, l, c].copy(),
+                                raw_second_moment=float(self._second[r, l, c]))
+        w = self._weights[l]
+        return WeightedEmpirical(self.atoms_cp[r, : w.size, c].copy(), w.copy())
+
+    def __iter__(self):
+        return iter(self._pos)
+
+    def __len__(self) -> int:
+        return len(self._pos)
 
 
 def _chunk_reps(replications: int, workers: int):
@@ -413,15 +448,12 @@ def _merge_chunks(parts: list[dict], rep_order: list[list[int]]) -> dict:
     merged = {k: None for k in parts[0]}
     flat_ids = [r for chunk in rep_order for r in chunk]
     order = np.argsort(flat_ids)  # chunks are contiguous, this restores 0..R-1
-    for key in ("mean_traj", "second_traj", "gap_kn", "gap_last", "paths",
+    for key in ("mean_traj", "second_traj", "gap_kn", "gap_last", "atoms_cp", "paths",
                 "mean_grid", "second_grid"):
         if parts[0].get(key) is not None:
             merged[key] = np.concatenate([p[key] for p in parts], axis=0)[order]
         else:
             merged[key] = None
-    merged["snapshots"] = {}
-    for p in parts:
-        merged["snapshots"].update(p["snapshots"])
     merged["n_steps"] = sum(p["n_steps"] for p in parts)
     merged["notes"] = tuple(dict.fromkeys(sum((list(p["notes"]) for p in parts), [])))
     return merged
@@ -461,7 +493,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     full_atoms = config.measure_backend == "full_atoms"
     dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
     coupled = ref_moments is not None
-    lw = None if config.schedule.has_unit_tail(N) else _milestone_log_weights(alphas)
 
     width = block_width(dim, M, init.needs_noise, dual)
     streams = [BlockStream(replication_stream(config.seed, r), width) for r in rep_ids]
@@ -489,7 +520,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     for l, n in enumerate(milestones):
         for ci, mi in enumerate(cp_idx):
             captures.setdefault(n - 1 + int(mi), []).append((l, ci, mi))
-    snapshots = {}
     if coupled:
         ys = np.empty_like(xs)
         ref_mean = ref_moments[0][:, None, :]  # (M+1, 1, dim)
@@ -562,21 +592,14 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
             if paths is not None:
                 paths[:, k] = xp.transpose(1, 0, 2)
             l = milestone_set.get(k + 1)
-            if l is None:
-                continue
-            if coupled:
+            if coupled and l is not None:
                 gap_kn[:, l] = kn_gap_state
                 gap_last[:, l] = gap
-            if full_atoms:
-                wts = _weights_at(k + 1, alphas, lw)
-                snapshots.update(_atom_snapshots(atoms_cp, k + 1, wts, rep_ids, cp_idx))
 
-    if not full_atoms:
-        snapshots = _summary_snapshots(mean_traj, second_traj, milestones, rep_ids, cp_idx)
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
-        "snapshots": snapshots,
+        "atoms_cp": atoms_cp,
         "paths": paths,
         "gap_kn": gap_kn if coupled else None,
         "gap_last": gap_last if coupled else None,
@@ -629,17 +652,15 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
 
     mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
     second_traj = np.zeros((Rc, len(milestones), n_cp))
-    snapshots = {}
     n_steps = 0
     x0_off = dim if init.needs_noise else 0
 
     for k, size in enumerate(batches):
-        n_batch = k + 1  # batch ordinal == alpha index
         alpha = alphas[k]
         blocks = np.stack([s.take(size) for s in streams])  # (Rc, size, width)
         z0 = blocks[:, :, :x0_off] if init.needs_noise else blocks[:, :, :0]
         x0 = init.from_block(z0, dim)  # (Rc, size, dim)
-        if n_batch == 1:  # the first batch stays at its initial value
+        if k == 0:  # the first batch stays at its initial value
             bpath = np.broadcast_to(x0.mean(axis=1)[None], (M + 1, Rc, dim)).copy()
             xs_full = np.broadcast_to(x0[None], (M + 1, Rc, size, dim))
         else:
@@ -698,19 +719,11 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
             l = milestone_set[end]
             mean_traj[:, l] = mean[cp_idx].transpose(1, 0, 2)
             second_traj[:, l] = second[cp_idx].transpose(1, 0)
-            if full_atoms:
-                # batch-level weights spread uniformly over each batch's atoms
-                wb = _weights_at(n_batch, alphas, lw)
-                w = np.repeat(wb / np.asarray(batches[: n_batch], dtype=float),
-                              batches[:n_batch])
-                snapshots.update(_atom_snapshots(atoms_cp, end, w, rep_ids, cp_idx))
 
-    if not full_atoms:
-        snapshots = _summary_snapshots(mean_traj, second_traj, milestones, rep_ids, cp_idx)
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
-        "snapshots": snapshots,
+        "atoms_cp": atoms_cp,
         "paths": paths,
         "n_steps": n_steps,
         "notes": (),
@@ -741,7 +754,8 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         z0 = np.empty((Rc, N, 0))
     x = init.from_block(z0, dim)  # (Rc, N, dim)
 
-    keep_cp = np.zeros((len(cp_idx), Rc, N, dim))
+    atoms_cp = np.zeros((Rc, N, len(cp_idx), dim)) if full_atoms else None
+    cp_at = {int(mi): ci for ci, mi in enumerate(cp_idx)} if full_atoms else {}
     mean_t = np.zeros((M + 1, Rc, dim))
     second_t = np.zeros((M + 1, Rc))
 
@@ -749,9 +763,8 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         return xs.mean(axis=1), np.mean(np.sum(xs**2, axis=-1), axis=1)
 
     mean_t[0], second_t[0] = empirical(x)
-    for ci, mi in enumerate(cp_idx):
-        if mi == 0:
-            keep_cp[ci] = x
+    if 0 in cp_at:
+        atoms_cp[:, :, cp_at[0]] = x
     for m in range(1, M + 1):
         em, es = mean_t[m - 1], second_t[m - 1]
         dw = np.stack([g.standard_normal((N, dim)) for g in gens]) * sqdt
@@ -778,21 +791,15 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
                 replication=rep_ids[ri],
             )
         mean_t[m], second_t[m] = empirical(x)
-        for ci, mi in enumerate(cp_idx):
-            if mi == m:
-                keep_cp[ci] = x
+        if m in cp_at:
+            atoms_cp[:, :, cp_at[m]] = x
 
     mean_traj = mean_t[cp_idx].transpose(1, 0, 2)[:, None, :, :]
     second_traj = second_t[cp_idx].transpose(1, 0)[:, None, :]
-    if full_atoms:
-        snapshots = _atom_snapshots(keep_cp.transpose(1, 2, 0, 3), N, np.full(N, 1.0 / N),
-                                    rep_ids, cp_idx)
-    else:
-        snapshots = _summary_snapshots(mean_traj, second_traj, (N,), rep_ids, cp_idx)
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
-        "snapshots": snapshots,
+        "atoms_cp": atoms_cp,
         "paths": None,
         "gap_kn": None,
         "gap_last": None,
@@ -835,7 +842,8 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
         checkpoint_times=config.checkpoints,
         mean_traj=merged["mean_traj"],
         second_traj=merged["second_traj"],
-        snapshots=merged["snapshots"],
+        snapshots=RunSnapshots(config, algorithm, milestones, merged["mean_traj"],
+                               merged["second_traj"], merged["atoms_cp"]),
         paths=merged["paths"],
         wall_time_s=time.perf_counter() - t0,
         n_steps=merged["n_steps"],
@@ -1094,12 +1102,36 @@ def coupled_spoc_run(config: SimConfig, workers: int = 1) -> CoupledRunResult:
 # -- persistence --------------------------------------------------------------
 
 
+def _write_manifest(out: Path, manifest: dict) -> None:
+    """Replace manifest.json in one step, so that a reader never sees half of it."""
+    tmp = out / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2))
+    os.replace(tmp, out / "manifest.json")
+
+
+def _read_array(path, magic: bytes, what: str) -> np.ndarray:
+    """A 4-d float64 array stored behind an 8-byte magic, a format version and its shape."""
+    raw = Path(path).read_bytes()
+    if raw[: len(magic)] != magic:
+        raise ValueError(f"not a {what} file")
+    off = len(magic)
+    version, *shape = struct.unpack_from("<I4Q", raw, off)
+    if version != 1:
+        raise ValueError(f"unsupported {what} version {version}")
+    off += struct.calcsize("<I4Q")
+    return np.frombuffer(raw, dtype=float, offset=off).reshape(shape).copy()
+
+
 def save_run(result: RunResult, out_dir) -> None:
-    """Persist a run: manifest.json, snapshots/*.csv (or summary.csv), paths.bin."""
+    """Persist a run in schema spoc-run-v2: manifest.json, summary.csv, and
+    atoms.bin (the (R, N, n_cp, dim) atom store of a full_atoms run) and
+    paths.bin when the run has them.  Snapshot weights are not stored; the
+    manifest is replaced in one step, and says complete only at the end.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "schema": "spoc-run-v1",
+        "schema": RUN_SCHEMA,
         "algorithm": result.algorithm,
         "config": result.config.to_dict(),
         "versions": result.versions,
@@ -1110,7 +1142,9 @@ def save_run(result: RunResult, out_dir) -> None:
         "notes": list(result.notes),
         "complete": False,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    _write_manifest(out, manifest)
+    # per-snapshot CSVs of a spoc-run-v1 run in the same directory
+    shutil.rmtree(out / "snapshots", ignore_errors=True)
 
     header = ["replication", "milestone_n", "time"]
     dim = result.config.model.dim
@@ -1125,78 +1159,60 @@ def save_run(result: RunResult, out_dir) -> None:
                 lines.append(",".join(row))
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
 
-    snap_dir = out / "snapshots"
-    has_atom_snapshots = any(
-        isinstance(v, WeightedEmpirical) for v in result.snapshots.values()
-    )
-    if has_atom_snapshots:
-        snap_dir.mkdir(exist_ok=True)
-        for (rep, n, mi), snap in sorted(result.snapshots.items()):
-            if isinstance(snap, WeightedEmpirical):
-                snap.to_csv(snap_dir / f"rep{rep}_n{n}_m{mi}.csv")
-
-    if result.paths is not None:
-        with open(out / "paths.bin", "wb") as fh:
-            fh.write(_PATHS_MAGIC)
-            fh.write(struct.pack("<I4Q", 1, *result.paths.shape))
-            fh.write(np.ascontiguousarray(result.paths, dtype=float).tobytes())
+    for name, magic, arr in (("atoms.bin", _ATOMS_MAGIC, result.snapshots.atoms_cp),
+                             ("paths.bin", _PATHS_MAGIC, result.paths)):
+        if arr is not None:
+            with open(out / name, "wb") as fh:
+                fh.write(magic)
+                fh.write(struct.pack("<I4Q", 1, *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype=float).tobytes())
+        else:  # left by an earlier run in the same directory
+            (out / name).unlink(missing_ok=True)
 
     manifest["complete"] = True
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    _write_manifest(out, manifest)
 
 
 def load_paths(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[: len(_PATHS_MAGIC)] != _PATHS_MAGIC:
-        raise ValueError("not a path-array file")
-    off = len(_PATHS_MAGIC)
-    version, r, n, m1, d = struct.unpack_from("<I4Q", raw, off)
-    if version != 1:
-        raise ValueError(f"unsupported paths version {version}")
-    off += struct.calcsize("<I4Q")
-    return np.frombuffer(raw, dtype=float, offset=off).reshape(r, n, m1, d).copy()
+    return _read_array(path, _PATHS_MAGIC, "path-array")
 
 
 def load_run(out_dir) -> RunResult:
-    """Reload a persisted run (builtin models only; summary precision is repr-exact)."""
+    """Reload a run saved by save_run (builtin models only); any schema other
+    than spoc-run-v2 raises RunFormatError.  Summary precision is repr-exact,
+    and the snapshot view over atoms.bin recomputes the weights from the
+    config, so every snapshot equals the saved run's bit for bit.
+    """
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text())
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != RUN_SCHEMA:
+        raise RunFormatError(
+            f"{out} holds a run of schema {schema!r}; this version reads {RUN_SCHEMA!r} "
+            "only, so rerun it"
+        )
     config = SimConfig.from_dict(manifest["config"])
+    algorithm = manifest["algorithm"]
     milestones = tuple(manifest["milestones"])
     cps = tuple(manifest["checkpoint_times"])
-    R, L, C = manifest["replications"], len(milestones), len(cps)
+    shape = (manifest["replications"], len(milestones), len(cps))
     dim = config.model.dim
-    mean_traj = np.zeros((R, L, C, dim))
-    second_traj = np.zeros((R, L, C))
-    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
-    cp_pos = {repr(float(t)): i for i, t in enumerate(cps)}
-    ml_pos = {n: i for i, n in enumerate(milestones)}
-    for row in rows:
-        parts = row.split(",")
-        r, n = int(parts[0]), int(parts[1])
-        c = cp_pos[repr(float(parts[2]))]
-        l = ml_pos[n]
-        mean_traj[r, l, c] = [float(v) for v in parts[3 : 3 + dim]]
-        second_traj[r, l, c] = float(parts[3 + dim])
-    snapshots = {}
-    snap_dir = out / "snapshots"
-    if snap_dir.exists():
-        for f in snap_dir.glob("rep*_n*_m*.csv"):
-            stem = f.stem
-            rep = int(stem.split("_")[0][3:])
-            n = int(stem.split("_")[1][1:])
-            mi = int(stem.split("_")[2][1:])
-            snapshots[(rep, n, mi)] = WeightedEmpirical.from_csv(f)
+    # save_run writes one row per (replication, milestone, checkpoint), in order
+    table = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1, ndmin=2)
+    mean_traj = table[:, 3 : 3 + dim].reshape(shape + (dim,))
+    second_traj = table[:, 3 + dim].reshape(shape)
+    full_atoms = config.measure_backend == "full_atoms"
+    atoms_cp = _read_array(out / "atoms.bin", _ATOMS_MAGIC, "atom-store") if full_atoms else None
     paths = load_paths(out / "paths.bin") if (out / "paths.bin").exists() else None
     return RunResult(
         config=config,
-        algorithm=manifest["algorithm"],
+        algorithm=algorithm,
         versions=manifest["versions"],
         milestones=milestones,
         checkpoint_times=cps,
         mean_traj=mean_traj,
         second_traj=second_traj,
-        snapshots=snapshots,
+        snapshots=RunSnapshots(config, algorithm, milestones, mean_traj, second_traj, atoms_cp),
         paths=paths,
         wall_time_s=None,
         n_steps=manifest["n_steps"],

@@ -48,6 +48,26 @@ def test_simulate_rerun_reproduces_outputs_bitwise(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_simulate_redoes_a_run_of_the_old_schema(tmp_path, capsys):
+    cfg = write_config(tmp_path, measure_backend="full_atoms", N=60, milestones=[20, 60])
+    out = tmp_path / "run"
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    # the same complete run as spoc-run-v1 left it: one CSV per snapshot, no atoms.bin
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps({**manifest, "schema": "spoc-run-v1"}))
+    (out / "atoms.bin").unlink()
+    (out / "snapshots").mkdir()
+    (out / "snapshots" / "rep0_n20_m30.csv").write_text("x0,weight\n1.0,1.0\n")
+    capsys.readouterr()
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "nothing to do" not in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["schema"] == "spoc-run-v2" and manifest["complete"] is True
+    assert (out / "atoms.bin").exists()
+    assert not (out / "snapshots").exists()
+    assert not (out / "manifest.json.tmp").exists()
+
+
 def test_config_error_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, bogus_key=12)
     code = dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -322,10 +322,3 @@ def test_csv_round_trip(tmp_path):
     back = WeightedEmpirical.from_csv(path)
     assert np.allclose(back.atoms, mu.atoms, atol=1e-15)
     assert np.allclose(back.weights, mu.weights, atol=1e-15)
-
-
-def test_binary_round_trip():
-    mu = random_measure(23, dim=2)
-    back = WeightedEmpirical.from_bytes(mu.to_bytes())
-    assert np.array_equal(back.atoms, mu.atoms)
-    assert np.array_equal(back.weights, mu.weights)

@@ -6,6 +6,7 @@ from spoc import (
     ConfigError,
     InitialCondition,
     ModelSpec,
+    RunFormatError,
     SimConfig,
     UpdateSchedule,
     batch_spoc_run,
@@ -17,7 +18,7 @@ from spoc import (
     save_run,
     spoc_run,
 )
-from spoc.measures import WeightedEmpirical, summary_stats
+from spoc.measures import summary_stats
 from spoc.rng import BlockStream, block_width, replication_stream
 from spoc.simulate import MomentView, _em_step, load_paths
 
@@ -484,8 +485,8 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.second_traj, res.second_traj)
     assert np.array_equal(back.paths, res.paths)
     for k, v in res.snapshots.items():
-        assert np.allclose(back.snapshots[k].atoms, v.atoms, atol=1e-15)
-        assert np.allclose(back.snapshots[k].weights, v.weights, atol=1e-15)
+        assert np.array_equal(back.snapshots[k].atoms, v.atoms)
+        assert np.array_equal(back.snapshots[k].weights, v.weights)
     assert (tmp_path / "run" / "manifest.json").exists()
     assert (tmp_path / "run" / "paths.bin").exists()
     arr = load_paths(tmp_path / "run" / "paths.bin")
@@ -501,8 +502,52 @@ def test_snapshot_weights_round_trip_bit_for_bit(tmp_path):
     back = load_run(tmp_path / "run")
     for k, snap in res.snapshots.items():
         assert np.array_equal(back.snapshots[k].weights, snap.weights)
-        assert np.array_equal(WeightedEmpirical.from_bytes(snap.to_bytes()).weights,
-                              snap.weights)
+
+
+_ROUND_TRIP_RUNS = {
+    "wavefront": lambda: spoc_run(ou_config(N=120, M=6, milestones=(7, 60, 120),
+                                            checkpoints=(0.0, 0.5, 1.0))),
+    "batch_uneven": lambda: batch_spoc_run(ou_config(N=120, M=6, batch_sizes=(1, 5, 14, 100),
+                                                     milestones=(6, 20, 120))),
+    "classical_full_atoms": lambda: classical_poc_run(ou_config(N=80, M=6, milestones=(80,),
+                                                                checkpoints=(0.5, 1.0))),
+    "workers_2": lambda: spoc_run(ou_config(N=90, M=6, replications=3, milestones=(30, 90)),
+                                  workers=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_TRIP_RUNS))
+def test_round_trip_snapshots_bit_for_bit(tmp_path, case):
+    res = _ROUND_TRIP_RUNS[case]()
+    expected = res
+    if case == "workers_2":
+        expected = spoc_run(res.config, workers=1)
+    save_run(res, tmp_path / "run")
+    back = load_run(tmp_path / "run")
+    assert (tmp_path / "run" / "atoms.bin").exists()
+    assert not (tmp_path / "run" / "snapshots").exists()
+    assert sorted(back.snapshots) == sorted(expected.snapshots)
+    for k, snap in expected.snapshots.items():
+        assert np.array_equal(back.snapshots[k].atoms, snap.atoms), k
+        assert np.array_equal(back.snapshots[k].weights, snap.weights), k
+
+
+def test_save_run_removes_files_the_run_does_not_have(tmp_path):
+    save_run(spoc_run(ou_config(N=20, milestones=(20,), store_paths=True)), tmp_path / "run")
+    save_run(spoc_run(ou_config(N=20, milestones=(20,), measure_backend="summary_only")),
+             tmp_path / "run")
+    back = load_run(tmp_path / "run")
+    assert back.paths is None and back.snapshots.atoms_cp is None
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.json",
+                                                                      "summary.csv"]
+
+
+def test_load_run_rejects_other_schema(tmp_path):
+    save_run(spoc_run(ou_config(N=20, milestones=(20,))), tmp_path / "run")
+    manifest = tmp_path / "run" / "manifest.json"
+    manifest.write_text(manifest.read_text().replace("spoc-run-v2", "spoc-run-v1"))
+    with pytest.raises(RunFormatError, match="spoc-run-v1"):
+        load_run(tmp_path / "run")
 
 
 def test_save_load_round_trip_summary_backend(tmp_path):
@@ -513,7 +558,10 @@ def test_save_load_round_trip_summary_backend(tmp_path):
     back = load_run(tmp_path / "run")
     assert np.array_equal(back.mean_traj, res.mean_traj)
     assert np.array_equal(back.second_traj, res.second_traj)
-    assert back.snapshots == {}  # summary backend persists via summary.csv only
+    assert sorted(back.snapshots) == sorted(res.snapshots)
+    for k, snap in res.snapshots.items():
+        assert np.array_equal(back.snapshots[k].mean, snap.mean)
+        assert back.snapshots[k].raw_second_moment == snap.raw_second_moment
     assert back.paths is None
 
 

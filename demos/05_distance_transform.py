@@ -36,7 +36,7 @@ with open(OUT / "profiles.csv", "w") as fh:
         prof.validate(kappa)
         curves[name] = (prof.grid, prof.f)
         for r, f, fp, fpp in zip(prof.grid, prof.f, prof.f_prime, prof.f_double_prime):
-            fh.write(f"{name},{r!r},{f!r},{fp!r},{fpp!r}\n")
+            fh.write(f"{name},{float(r)!r},{float(f)!r},{float(fp)!r},{float(fpp)!r}\n")
         print(f"{name:>28}: f'(0) = {prof.f_prime_0:.6f}, "
               f"max f'' = {np.max(prof.f_double_prime):.2e}, "
               f"f(6)/6 = {prof.f[-1] / 6.0:.4f}")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import linregress, norm
 
-from .errors import DimensionMismatchError, MeasureSizeError
+from .errors import ConfigError, DimensionMismatchError, MeasureSizeError
 from .measures import (
     WeightedEmpirical,
     combine_kn_running,
@@ -39,6 +39,7 @@ Z_90 = 1.6448536269514722  # two-sided 90% normal quantile
 METRIC_W2 = "w2_to_reference"
 METRIC_MEAN = "mean_abs_err"
 METRIC_SECOND = "second_moment_err"
+METRICS = (METRIC_W2, METRIC_MEAN, METRIC_SECOND)
 
 SLICED_PROJECTIONS = 64
 PATH_ASSIGNMENT_CAP = 512
@@ -146,8 +147,10 @@ def convergence_study(
     sample measure; callers square it when tabulating squared distances),
     mean_abs_err, second_moment_err.  The fit is None for < 3 milestones.
     """
-    if metric not in (METRIC_W2, METRIC_MEAN, METRIC_SECOND):
-        raise ValueError(f"unknown metric {metric!r}")
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}", key="metric")
+    if algorithm not in ("spoc", "classical_poc"):
+        raise ConfigError(f"unknown algorithm {algorithm!r} for studies", key="algorithm")
     milestones = tuple(int(n) for n in milestones)
     if reference is None:
         reference = reference_run(config.model, config, workers=workers)
@@ -178,7 +181,7 @@ def convergence_study(
                 else:
                     snap = run.snapshots[(r, n, term_idx)]
                     samples[r, l] = _snapshot_distance(snap, ref_sample, seed=config.seed + l)
-    elif algorithm == "classical_poc":
+    else:
         for l, n in enumerate(milestones):
             cfg = replace(
                 config,
@@ -195,8 +198,6 @@ def convergence_study(
                 else:
                     snap = run.snapshots[(r, n, term_idx)]
                     samples[r, l] = _snapshot_distance(snap, ref_sample, seed=config.seed + l)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r} for studies")
 
     table = _table_from_samples(metric, milestones, samples)
     fit = None

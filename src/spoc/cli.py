@@ -1,9 +1,9 @@
 """Command-line front end: simulate | compare | rates | density | schedule-diag | verify.
 
-JSON configs are schema-validated (unknown keys rejected); dotted --set
-overrides are type-checked against the schema.  Exit codes: 0 success,
-2 config error (with a line/key diagnostic), 3 numeric blow-up (with
-particle/step context).
+One table, _CONFIG_TYPES, gives the JSON type of every config key; it types
+the dotted --set overrides and then checks the whole config (unknown keys and
+wrong types are rejected).  Exit codes: 0 success, 2 config error (with a
+line/key diagnostic), 3 numeric blow-up (with particle/step context).
 """
 
 from __future__ import annotations
@@ -16,20 +16,20 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import jsonschema
-
 from .analysis import (
     METRIC_MEAN,
-    METRIC_SECOND,
     METRIC_W2,
+    METRICS,
     convergence_study,
     density_histogram,
     iid_convergence_study,
 )
 from .battery import run_battery
 from .errors import BlowUpError, ConfigError, SpocError
-from .schedules import UpdateSchedule, schedule_diagnostics, theta_sequence
+from .schedules import SCHEDULE_KINDS, UpdateSchedule, schedule_diagnostics, theta_sequence
 from .simulate import (
+    INITIAL_KINDS,
+    MEASURE_BACKENDS,
     RUN_SCHEMA,
     SimConfig,
     batch_spoc_run,
@@ -44,65 +44,26 @@ log = logging.getLogger("spoc")
 
 NO_FIT = "no fit (fewer than 3 milestones)"
 
-_SCHEDULE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["harmonic", "power_law", "geometric", "explicit"]},
-        "r": {"type": "number"},
-        "q": {"type": "number"},
-        "values": {"type": "array", "items": {"type": "number"}},
-        "max_n": {"type": "integer"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+_RUNNERS = {"spoc": spoc_run, "batch_spoc": batch_spoc_run, "classical_poc": classical_poc_run}
 
-_MODEL_SCHEMA = {
-    "type": ["object", "null"],
-    "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
-    "required": ["name"],
-    "additionalProperties": False,
+# The JSON type of every config key: a dict is a section, [t] an array of t and
+# [t, t] a pair, a tuple lists the types a value may take (None: null) and a set
+# the strings it may be.
+_CONFIG_TYPES = {
+    "model": ({"name": str, "params": dict}, None),
+    "schedule": {"kind": set(SCHEDULE_KINDS), "r": float, "q": float, "values": [float],
+                 "max_n": int},
+    "initial": {"kind": set(INITIAL_KINDS), "value": (float, [float]),
+                "mean": (float, [float]), "std": float},
+    "T": float, "M": int, "N": int, "seed": int, "replications": int,
+    "batch_sizes": ([int], None), "checkpoints": [float], "milestones": [int],
+    "measure_backend": set(MEASURE_BACKENDS), "store_paths": bool,
+    "algorithm": set(_RUNNERS), "metric": set(METRICS),
+    "gamma": float, "window": int, "bins": int, "range": [float, float],
 }
-
-_INITIAL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["point", "gaussian"]},
-        "value": {"type": ["number", "array"], "items": {"type": "number"}},
-        "mean": {"type": ["number", "array"], "items": {"type": "number"}},
-        "std": {"type": "number"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": _MODEL_SCHEMA,
-        "schedule": _SCHEDULE_SCHEMA,
-        "initial": _INITIAL_SCHEMA,
-        "T": {"type": "number"},
-        "M": {"type": "integer"},
-        "N": {"type": "integer"},
-        "seed": {"type": "integer"},
-        "replications": {"type": "integer"},
-        "batch_sizes": {"type": ["array", "null"], "items": {"type": "integer"}},
-        "checkpoints": {"type": "array", "items": {"type": "number"}},
-        "milestones": {"type": "array", "items": {"type": "integer"}},
-        "measure_backend": {"enum": ["full_atoms", "summary_only"]},
-        "store_paths": {"type": "boolean"},
-        "algorithm": {"enum": ["spoc", "batch_spoc", "classical_poc"]},
-        "metric": {"enum": [METRIC_W2, METRIC_MEAN, METRIC_SECOND]},
-        "gamma": {"type": "number"},
-        "window": {"type": "integer"},
-        "bins": {"type": "integer"},
-        "range": {"type": "array", "items": {"type": "number"},
-                  "minItems": 2, "maxItems": 2},
-        "n_ref": {"type": "integer"},
-    },
-    "additionalProperties": False,
-}
+_REQUIRED = {"model": "name", "schedule": "kind", "initial": "kind"}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               set: "a string", dict: "an object", list: "an array", type(None): "null"}
 
 
 def _load_config(path: str) -> dict:
@@ -111,76 +72,90 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
-def _coerce(raw: str, expected: dict | None, key: str):
-    kind = None
-    if expected is not None:
-        kind = expected.get("type")
-        if isinstance(kind, list):
-            kind = kind[0]
-        if "enum" in expected:
+def _options(spec) -> tuple:
+    return spec if isinstance(spec, tuple) else (spec,)
+
+
+def _fits(value, spec) -> bool:
+    """Whether value has the JSON type of a table entry, as JSON Schema counts
+    types: a boolean is no number and 60.0 is an integer."""
+    if isinstance(spec, (dict, list, set)):
+        spec = str if isinstance(spec, set) else type(spec)
+    if isinstance(value, bool) or spec is bool:
+        return isinstance(value, bool) and spec is bool
+    if spec is int and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, {float: (int, float), None: type(None)}.get(spec, spec))
+
+
+def _check(value, spec, key: str) -> None:
+    """Raise ConfigError naming the key unless value has the type spec gives."""
+    fit = [s for s in _options(spec) if _fits(value, s)]
+    if not fit:
+        want = " or ".join(_TYPE_NAMES[s if isinstance(s, type) else type(s)] for s in _options(spec))
+        raise ConfigError(f"config key {key}: {value!r} is not {want}", key=key)
+    spec = fit[0]
+    if isinstance(spec, set) and value not in spec:
+        raise ConfigError(f"config key {key}: {value!r} is not one of {sorted(spec)}", key=key)
+    if isinstance(spec, list):
+        if len(spec) > 1 and len(value) != len(spec):
+            raise ConfigError(f"config key {key} needs {len(spec)} items", key=key)
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{key}.{i}")
+    if isinstance(spec, dict):
+        for k, v in value.items():
+            name = f"{key}.{k}" if key else k
+            if k not in spec:
+                raise ConfigError(f"unknown config key {name!r}", key=name)
+            _check(v, spec[k], name)
+        need = _REQUIRED.get(key)
+        if need is not None and need not in value:
+            raise ConfigError(f"config key {key} needs {need!r}", key=f"{key}.{need}")
+
+
+def _parse(raw: str, spec, key: str):
+    """A --set value typed by its table entry; below a free-form object (spec
+    None) it is a JSON literal or else the string itself."""
+    for s in _options(spec):
+        if s is str or isinstance(s, set):
             return raw
-    try:
-        if kind == "integer":
-            return int(raw)
-        if kind == "number":
-            return float(raw)
-        if kind == "boolean":
-            if raw.lower() in ("true", "1"):
-                return True
-            if raw.lower() in ("false", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw}")
-        if kind == "string":
-            return raw
-        if kind in ("array", "object"):
-            return json.loads(raw)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"override value {raw!r} is not a valid {kind}", key=key) from exc
-    # free-form node: best-effort JSON literal, else string
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
+        try:
+            if s is bool:
+                return {"true": True, "1": True, "false": False, "0": False}[raw.lower()]
+            return s(raw) if s in (int, float) else json.loads(raw)
+        except (KeyError, ValueError):
+            pass
+    if spec is None:
         return raw
+    raise ConfigError(f"override value {raw!r} does not parse as {key}", key=key)
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"--set needs KEY=VALUE, got {assignment!r}")
     key, raw = assignment.split("=", 1)
-    parts = key.split(".")
-    node, schema_node = cfg, CONFIG_SCHEMA
-    for p in parts[:-1]:
-        if schema_node is not None:
-            props = schema_node.get("properties", {})
-            if p not in props and schema_node.get("additionalProperties") is False:
-                raise ConfigError(f"unknown config key {key!r}", key=key)
-            schema_node = props.get(p)
+    *path, leaf = key.split(".")
+    spec, node = _CONFIG_TYPES, cfg
+    for p in path + [leaf]:
+        section = next((s for s in _options(spec) if isinstance(s, dict)), None)
+        if section is not None and p not in section:
+            raise ConfigError(f"unknown config key {key!r}", key=key)
+        spec = None if section is None else section[p]
+    for p in path:
         if not isinstance(node.get(p), dict):
             node[p] = {}
         node = node[p]
-    leaf = parts[-1]
-    expected = None
-    if schema_node is not None:
-        props = schema_node.get("properties", {})
-        if leaf not in props and schema_node.get("additionalProperties") is False:
-            raise ConfigError(f"unknown config key {key!r}", key=key)
-        expected = props.get(leaf)
-    node[leaf] = _coerce(raw, expected, key)
-
-
-def _validate_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config key {path}: {exc.message}", key=path) from exc
+    node[leaf] = _parse(raw, spec, key)
 
 
 def _require(cfg: dict, keys: list[str]) -> None:
@@ -228,9 +203,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
             and previous.get("algorithm") == algorithm:
         print(f"run already complete in {out}; nothing to do")
         return 0
-    runner = {"spoc": spoc_run, "batch_spoc": batch_spoc_run,
-              "classical_poc": classical_poc_run}[algorithm]
-    result = runner(config, workers=args.workers)
+    result = _RUNNERS[algorithm](config, workers=args.workers)
     save_run(result, out)
     print(
         f"{algorithm}: N={config.N} M={config.M} replications={config.replications} "
@@ -275,9 +248,7 @@ def _cmd_rates(cfg: dict, args) -> int:
         raise ConfigError("rates requires milestones", key="milestones")
     if cfg.get("model") is None:
         _require(cfg, ["schedule", "seed"])
-        schedule = UpdateSchedule.from_dict(
-            {**cfg["schedule"], "max_n": cfg["schedule"].get("max_n", max(milestones))}
-        )
+        schedule = UpdateSchedule.from_dict({"max_n": max(milestones), **cfg["schedule"]})
         seed = args.seed if args.seed is not None else cfg["seed"]
         table, fit = iid_convergence_study(
             schedule, milestones, int(cfg.get("replications", 20)), int(seed)
@@ -307,11 +278,13 @@ def _cmd_density(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
     if config.model.dim != 1:
         raise ConfigError("density requires a 1-d model", key="model")
+    bins = int(cfg.get("bins", 40))
+    if bins < 1:
+        raise ConfigError("density needs bins >= 1", key="bins")
+    rng = tuple(cfg["range"]) if cfg.get("range") else None
     config = replace(config, measure_backend="full_atoms")
     out = _out_dir(args)
     result = spoc_run(config, workers=args.workers)
-    bins = int(cfg.get("bins", 40))
-    rng = tuple(cfg["range"]) if cfg.get("range") else None
     term = config.checkpoint_indices[-1]
     curves = {}
     for n in config.milestones:
@@ -404,7 +377,7 @@ def dispatch(argv=None) -> int:
         cfg = _load_config(args.config) if args.config else {}
         for assignment in args.set:
             _apply_override(cfg, assignment)
-        _validate_config(cfg)
+        _check(cfg, _CONFIG_TYPES, "")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         where = f" [{exc.key}]" if exc.key else ""

@@ -11,6 +11,7 @@ with `atoms` and `weights`.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -172,9 +173,10 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
         raise ConfigError(f"unknown builtin model {name!r}", key="model.name")
     defaults = dict(_BUILTIN_DEFAULTS[name])
     params = dict(params or {})
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown params for {name}: {sorted(unknown)}", key="model.params")
+    if not set(params) <= set(defaults) or not all(
+            isinstance(v, numbers.Real) for v in params.values()):
+        raise ConfigError(f"{name} takes numeric params {sorted(defaults)}, got {params}",
+                          key="model.params")
     defaults.update(params)
     p = defaults
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidScheduleError, NumericsError, SingularScheduleError
 
-_KINDS = ("harmonic", "power_law", "geometric", "explicit")
+SCHEDULE_KINDS = ("harmonic", "power_law", "geometric", "explicit")
 
 # Regime labels for tail diagnostics: algebraic rate alpha_n^gamma, product-form
 # rate prod(1 - delta*alpha_i), and the fast product regime (abar >= 2).
@@ -40,7 +40,7 @@ class UpdateSchedule:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in SCHEDULE_KINDS:
             raise InvalidScheduleError(f"unknown schedule kind {self.kind!r}")
         if self.max_n < 1:
             raise InvalidScheduleError("max_n must be >= 1")
@@ -247,11 +247,11 @@ def schedule_diagnostics(
     max_n -- a heuristic, keep the window in the tail).
     """
     if gamma <= 0.0:
-        raise InvalidScheduleError("gamma must be > 0")
+        raise ConfigError("gamma must be > 0", key="gamma")
     if window is None:
         window = max(schedule.max_n // 10, 1)
     if not (1 <= window < schedule.max_n):
-        raise InvalidScheduleError("window must satisfy 1 <= window < max_n")
+        raise ConfigError("window must satisfy 1 <= window < max_n", key="window")
     a = schedule.alphas(schedule.max_n)
     lo = schedule.max_n - window - 1  # ratios need alpha_{n+1}
     d = (a[lo:-1] - a[lo + 1:]) / a[lo:-1] ** 2

@@ -61,6 +61,8 @@ MomentView = namedtuple("MomentView", ["mean", "raw_second_moment"])
 AtomView = namedtuple("AtomView", ["atoms", "weights"])
 
 RUN_SCHEMA = "spoc-run-v2"
+INITIAL_KINDS = ("point", "gaussian")
+MEASURE_BACKENDS = ("full_atoms", "summary_only")
 _PATHS_MAGIC = b"SPOCPATH"
 _ATOMS_MAGIC = b"SPOCATOM"
 
@@ -75,7 +77,7 @@ class InitialCondition:
     std: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("point", "gaussian"):
+        if self.kind not in INITIAL_KINDS:
             raise ConfigError(f"unknown initial kind {self.kind!r}", key="initial.kind")
         if self.kind == "point" and self.value is None:
             raise ConfigError("point initial requires a value", key="initial.value")
@@ -122,11 +124,11 @@ class InitialCondition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InitialCondition":
-        if d.get("kind") == "point":
+        if d.get("kind") == "point" and d.get("value") is not None:
             return cls.point(d["value"])
         if d.get("kind") == "gaussian":
             return cls.gaussian(d.get("mean", 0.0), d.get("std", 1.0))
-        raise ConfigError(f"unknown initial kind {d.get('kind')!r}", key="initial.kind")
+        return cls(kind=d.get("kind"))  # names the unknown kind or the missing value
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class SimConfig:
                 else "full_atoms"
             )
             object.__setattr__(self, "measure_backend", backend)
-        if self.measure_backend not in ("full_atoms", "summary_only"):
+        if self.measure_backend not in MEASURE_BACKENDS:
             raise ConfigError(
                 f"unknown measure_backend {self.measure_backend!r}", key="measure_backend"
             )

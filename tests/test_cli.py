@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spoc
 from spoc.battery import run_battery
 from spoc.cli import dispatch
 
@@ -113,23 +118,38 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sets, key", [
-    (["model.name=nope"], "model.name"),
-    (['model.params={"gamma": 1.0}'], "model.params"),
-    (["schedule.kind=geometric"], "schedule.q"),
-    (["schedule.kind=power_law"], "schedule.r"),
-    (["schedule.kind=geometric", "schedule.q=2"], "schedule"),
-    ([], None),
-], ids=["unknown_model", "unknown_param", "geometric_without_q", "power_law_without_r",
-        "geometric_q_out_of_range", "truncated_manifest"])
-def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, sets, key):
+@pytest.mark.parametrize("command, sets, key", [
+    ("simulate", ["model.name=nope"], "model.name"),
+    ("simulate", ['model.params={"gamma": 1.0}'], "model.params"),
+    ("simulate", ['model={"name": "curie_weiss", "params": {"beta": "x"}}'], "model.params"),
+    ("simulate", ["schedule.kind=geometric"], "schedule.q"),
+    ("simulate", ["schedule.kind=power_law"], "schedule.r"),
+    ("simulate", ["schedule.kind=geometric", "schedule.q=2"], "schedule"),
+    ("simulate", ["schedule.kind=bogus"], "schedule.kind"),
+    ("simulate", ['initial={"kind": "point"}'], "initial.value"),
+    ("simulate", ["initial.kind=bogus"], "initial.kind"),
+    ("simulate", ["measure_backend=bogus"], "measure_backend"),
+    ("simulate", ["algorithm=bogus"], "algorithm"),
+    ("simulate", ["n_ref=5"], "n_ref"),
+    ("rates", ["algorithm=batch_spoc"], "algorithm"),
+    ("rates", ["metric=bogus"], "metric"),
+    ("density", ["bins=0"], "bins"),
+    ("schedule-diag", ["gamma=-1"], "gamma"),
+    ("schedule-diag", ["gamma=0.5", "window=0"], "window"),
+    ("simulate", [], None),
+], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
+        "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
+        "point_without_value", "unknown_initial_kind", "unknown_backend", "unknown_algorithm",
+        "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins", "negative_gamma",
+        "zero_window", "truncated_manifest"])
+def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     cfg = write_config(tmp_path, N=50, milestones=[50])
     out = tmp_path / "o"
     if key is None:
         # an interrupted save leaves a truncated manifest: the run is redone
         out.mkdir()
         (out / "manifest.json").write_text('{"schema": "spoc-run-v1", "comp')
-    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    argv = [command, "--config", str(cfg), "--out", str(out)]
     code = dispatch(argv + [a for s in sets for a in ("--set", s)])
     if key is None:
         assert code == 0
@@ -137,6 +157,33 @@ def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, sets, key):
     else:
         assert code == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, sets, expected", [
+    ({"N": 60.0, "M": 30.0}, [], {"N": 60, "M": 30}),
+    ({}, ["store_paths=1"], {"store_paths": True, "measure_backend": "full_atoms"}),
+    ({}, ["T=.5", "seed=007", "store_paths=false"], {"T": 0.5, "seed": 7, "store_paths": False}),
+    ({}, ["model.name=repulsive3d", "initial.value=[1,0,0]"],
+     {"initial": {"kind": "point", "value": [1.0, 0.0, 0.0]}}),
+    ({"initial": {"kind": "gaussian", "mean": [0, 1, 2], "std": 1}},
+     ["model.name=repulsive3d", "initial.mean=1.5"],
+     {"initial": {"kind": "gaussian", "mean": [1.5], "std": 1.0}}),
+], ids=["integer_valued_floats", "store_paths_1", "number_spellings", "point_vector",
+        "gaussian_scalar_mean"])
+def test_config_spellings(tmp_path, overrides, sets, expected):
+    cfg = write_config(tmp_path, **{"N": 60, "milestones": [60], **overrides})
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    assert dispatch(argv + [a for s in sets for a in ("--set", s)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert json.dumps({k: config[k] for k in expected}) == json.dumps(expected)
+
+
+def test_cli_imports_without_jsonschema():
+    src = str(Path(spoc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = 'import sys; sys.modules["jsonschema"] = None; import spoc.cli'
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_blowup_exit_code(tmp_path, capsys):

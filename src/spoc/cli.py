@@ -102,7 +102,8 @@ def _check(value, spec, key: str) -> None:
     """Raise ConfigError naming the key unless value has the type spec gives."""
     fit = [s for s in _options(spec) if _fits(value, s)]
     if not fit:
-        want = " or ".join(_TYPE_NAMES[s if isinstance(s, type) else type(s)] for s in _options(spec))
+        want = " or ".join(_TYPE_NAMES[s if isinstance(s, type) else type(s)]
+                           for s in _options(spec))
         raise ConfigError(f"config key {key}: {value!r} is not {want}", key=key)
     spec = fit[0]
     if isinstance(spec, set) and value not in spec:

@@ -186,6 +186,11 @@ class SimConfig:
             raise ConfigError(
                 "full-measure interaction needs the full_atoms backend", key="measure_backend"
             )
+        key = "value" if self.initial.kind == "point" else "mean"
+        base = getattr(self.initial, key)
+        if base is not None and len(base) not in (1, self.model.dim):
+            raise ConfigError(f"initial {key} needs 1 or {self.model.dim} components",
+                              key=f"initial.{key}")
         # resolve checkpoint times against the grid
         cps = self.checkpoints if self.checkpoints is not None else (self.T,)
         idx = []

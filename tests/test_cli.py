@@ -128,6 +128,7 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("simulate", ["schedule.kind=bogus"], "schedule.kind"),
     ("simulate", ['initial={"kind": "point"}'], "initial.value"),
     ("simulate", ["initial.kind=bogus"], "initial.kind"),
+    ("simulate", ["initial.value=[1,2]"], "initial.value"),
     ("simulate", ["measure_backend=bogus"], "measure_backend"),
     ("simulate", ["algorithm=bogus"], "algorithm"),
     ("simulate", ["n_ref=5"], "n_ref"),
@@ -139,9 +140,9 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
         "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
-        "point_without_value", "unknown_initial_kind", "unknown_backend", "unknown_algorithm",
-        "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins", "negative_gamma",
-        "zero_window", "truncated_manifest"])
+        "point_without_value", "unknown_initial_kind", "value_of_wrong_dim", "unknown_backend",
+        "unknown_algorithm", "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins",
+        "negative_gamma", "zero_window", "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     cfg = write_config(tmp_path, N=50, milestones=[50])
     out = tmp_path / "o"

@@ -43,7 +43,7 @@ with open(OUT / "theta.csv", "w") as fh:
     fh.write("schedule,n,theta\n")
     for name, (xs, ys) in series.items():
         for x, y in zip(xs, ys):
-            fh.write(f"{name},{x},{y!r}\n")
+            fh.write(f"{name},{x},{float(y)!r}\n")
 
 # the guarded product prod(1 - delta*alpha_n) behaves like n^{-delta} for harmonic rates
 ns_p = [2**k for k in range(8, 15)]

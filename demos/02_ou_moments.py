@@ -45,7 +45,8 @@ with open(OUT / "moments.csv", "w") as fh:
         mi = cfg.checkpoint_indices[c]
         m_run = run.mean_traj[:, -1, c, 0].mean()
         s_run = run.second_traj[:, -1, c].mean()
-        fh.write(f"{t!r},{m_run!r},{ref.mean[mi, 0]!r},{s_run!r},{ref.second[mi]!r}\n")
+        row = (t, m_run, ref.mean[mi, 0], s_run, ref.second[mi])
+        fh.write(",".join(repr(float(v)) for v in row) + "\n")
         print(f"{t:4.1f}  {m_run:+.5f}   {ref.mean[mi, 0]:+.5f}   "
               f"{s_run:.5f}      {ref.second[mi]:.5f}")
 

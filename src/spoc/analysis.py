@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,41 +164,23 @@ def convergence_study(
 
     R = config.replications
     samples = np.zeros((R, len(milestones)))
+    backend = "full_atoms" if metric == METRIC_W2 else config.measure_backend
     if algorithm == "spoc":
-        need_atoms = metric == METRIC_W2
-        cfg = replace(
-            config,
-            N=max(milestones),
-            milestones=milestones,
-            measure_backend="full_atoms" if need_atoms else config.measure_backend,
-        )
-        run = spoc_run(cfg, workers=workers)
-        for l, n in enumerate(milestones):
-            for r in range(R):
-                if metric == METRIC_MEAN:
-                    samples[r, l] = np.linalg.norm(run.mean_traj[r, l, -1] - ref_mean)
-                elif metric == METRIC_SECOND:
-                    samples[r, l] = abs(run.second_traj[r, l, -1] - ref_second)
-                else:
-                    snap = run.snapshots[(r, n, term_idx)]
-                    samples[r, l] = _snapshot_distance(snap, ref_sample, seed=config.seed + l)
-    else:
-        for l, n in enumerate(milestones):
-            cfg = replace(
-                config,
-                N=n,
-                milestones=(n,),
-                measure_backend="full_atoms" if metric == METRIC_W2 else config.measure_backend,
-            )
-            run = classical_poc_run(cfg, workers=workers)
-            for r in range(R):
-                if metric == METRIC_MEAN:
-                    samples[r, l] = np.linalg.norm(run.mean_traj[r, 0, -1] - ref_mean)
-                elif metric == METRIC_SECOND:
-                    samples[r, l] = abs(run.second_traj[r, 0, -1] - ref_second)
-                else:
-                    snap = run.snapshots[(r, n, term_idx)]
-                    samples[r, l] = _snapshot_distance(snap, ref_sample, seed=config.seed + l)
+        cfg = replace(config, N=max(milestones), milestones=milestones, measure_backend=backend)
+        runs = repeat(spoc_run(cfg, workers=workers))
+    else:  # one run per milestone, each made when its milestone is reached
+        runs = (classical_poc_run(replace(config, N=n, milestones=(n,), measure_backend=backend),
+                                  workers=workers) for n in milestones)
+    for l, (n, run) in enumerate(zip(milestones, runs)):
+        i = run.milestone_index(n)
+        for r in range(R):
+            if metric == METRIC_MEAN:
+                samples[r, l] = np.linalg.norm(run.mean_traj[r, i, -1] - ref_mean)
+            elif metric == METRIC_SECOND:
+                samples[r, l] = abs(run.second_traj[r, i, -1] - ref_second)
+            else:
+                snap = run.snapshots[(r, n, term_idx)]
+                samples[r, l] = _snapshot_distance(snap, ref_sample, seed=config.seed + l)
 
     table = _table_from_samples(metric, milestones, samples)
     fit = None

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,8 +37,6 @@ from .simulate import (
     spoc_run,
 )
 from . import svgplot
-
-log = logging.getLogger("spoc")
 
 NO_FIT = "no fit (fewer than 3 milestones)"
 
@@ -371,8 +367,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv=None) -> int:
-    level = os.environ.get("SPOC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}

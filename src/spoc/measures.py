@@ -214,12 +214,7 @@ def combine_kn(values: Sequence, schedule: UpdateSchedule):
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("values must be non-empty")
-    n = vals.shape[0]
-    a = schedule.alphas(n)
-    s = vals[0].astype(float) if vals.ndim > 1 else float(vals[0])
-    for i in range(1, n):
-        # alpha = 1 resets the average to the new value exactly
-        s = vals[i] if a[i] == 1.0 else s + a[i] * (vals[i] - s)
+    s = combine_kn_running(vals, schedule)[-1]
     return float(s) if vals.ndim == 1 else s
 
 
@@ -232,6 +227,7 @@ def combine_kn_running(values: Sequence, schedule: UpdateSchedule) -> np.ndarray
     s = vals[0].copy() if vals.ndim > 1 else float(vals[0])
     out[0] = s
     for i in range(1, n):
+        # alpha = 1 resets the average to the new value exactly
         s = vals[i] if a[i] == 1.0 else s + a[i] * (vals[i] - s)
         out[i] = s
     return out

@@ -50,6 +50,8 @@ BLOWUP_LIMIT = 1e8
 GRID_TOL = 1e-9
 # seed offset separating reference/oracle streams from test-run streams
 REFERENCE_SEED_XOR = 0x5EED0F5E7
+# RK4 steps per grid step of the moment-closure reference curves
+_RK4_SUBSTEPS = 10
 ALGO_SPOC = "spoc"
 ALGO_BATCH = "batch_spoc"
 ALGO_CLASSICAL = "classical_poc"
@@ -349,18 +351,19 @@ def _em_step(model: ModelSpec, t, x: np.ndarray, view, dw: np.ndarray, db, dt: f
     return x
 
 
-def _check_finite_path(x_path: np.ndarray, particle: int, rep_ids) -> None:
-    """x_path: (M+1, R, dim).  Locates the first bad (step, replication) for context."""
-    if np.abs(x_path).max() <= BLOWUP_LIMIT:  # a NaN maximum fails this too
+def _check_finite_path(block: np.ndarray, step0: int, particle0: int, rep_ids) -> None:
+    """block: (steps, R, particles, dim), starting at grid step step0 and at
+    1-based particle particle0.  Raises BlowUpError for the first bad cell in
+    (step, replication, particle) order."""
+    if np.abs(block).max() <= BLOWUP_LIMIT:  # a NaN maximum fails this too
         return
-    ok = np.isfinite(x_path).all(axis=2) & (np.abs(x_path).max(axis=2) <= BLOWUP_LIMIT)
-    bad = np.argwhere(~ok)
-    m, r = int(bad[0, 0]), int(bad[0, 1])
+    ok = np.isfinite(block).all(axis=3) & (np.abs(block).max(axis=3) <= BLOWUP_LIMIT)
+    m, r, p = (int(i) for i in np.argwhere(~ok)[0])
     raise BlowUpError(
-        f"particle {particle} left the stable region at step {m} "
+        f"particle {particle0 + p} left the stable region at step {step0 + m} "
         f"(replication {rep_ids[r]}): |x| > {BLOWUP_LIMIT:g} or non-finite",
-        particle=particle,
-        step=m,
+        particle=particle0 + p,
+        step=step0 + m,
         replication=rep_ids[r],
     )
 
@@ -444,25 +447,16 @@ class RunSnapshots(Mapping):
 
 
 def _chunk_reps(replications: int, workers: int):
-    ids = list(range(replications))
-    if workers <= 1 or replications == 1:
-        return [ids]
-    chunks = np.array_split(ids, min(workers, replications))
-    return [[int(r) for r in c] for c in chunks if len(c)]
+    chunks = np.array_split(np.arange(replications), max(1, min(workers, replications)))
+    return [c.tolist() for c in chunks]
 
 
-def _merge_chunks(parts: list[dict], rep_order: list[list[int]]) -> dict:
-    merged = {k: None for k in parts[0]}
-    flat_ids = [r for chunk in rep_order for r in chunk]
-    order = np.argsort(flat_ids)  # chunks are contiguous, this restores 0..R-1
-    for key in ("mean_traj", "second_traj", "gap_kn", "gap_last", "atoms_cp", "paths",
-                "mean_grid", "second_grid"):
-        if parts[0].get(key) is not None:
-            merged[key] = np.concatenate([p[key] for p in parts], axis=0)[order]
-        else:
-            merged[key] = None
+def _merge_chunks(parts: list[dict]) -> dict:
+    """Join chunk outputs along the replication axis; _chunk_reps yields
+    contiguous, increasing ranges, so concatenation restores 0..R-1."""
+    merged = {k: None if v is None else np.concatenate([p[k] for p in parts])
+              for k, v in parts[0].items() if k != "n_steps"}
     merged["n_steps"] = sum(p["n_steps"] for p in parts)
-    merged["notes"] = tuple(dict.fromkeys(sum((list(p["notes"]) for p in parts), [])))
     return merged
 
 
@@ -534,7 +528,7 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
         gap_kn = np.zeros((Rc, len(milestones)))
         gap_last = np.zeros((Rc, len(milestones)))
         kn_gap_state = np.zeros(Rc)
-        trap_w = np.full(M + 1, dt)
+        trap_w = np.full((M + 1, 1), dt)
         trap_w[0] = trap_w[-1] = 0.5 * dt
 
     # overflow on a diverging path is caught by the finite check at completion
@@ -589,10 +583,11 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
             prow = prows[k % S]
             xp = xs[prow, cols]  # (M+1, Rc, dim)
             if k > 0:
-                _check_finite_path(xp, k + 1, rep_ids)
+                _check_finite_path(xp[:, :, None], 0, k + 1, rep_ids)
             if coupled:
                 diff = xp - ys[prow, cols]
-                gap = np.einsum("m,mr->r", trap_w, np.sum(diff**2, axis=2)) / config.T
+                # a running sum over the grid: its bits do not depend on the chunk size
+                gap = np.cumsum(trap_w * np.sum(diff**2, axis=2), axis=0)[-1] / config.T
                 _recursive_update(kn_gap_state, gap, alphas[k])
             if full_atoms:
                 atoms_cp[:, k] = xp[cp_idx].transpose(1, 0, 2)
@@ -611,7 +606,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
         "gap_kn": gap_kn if coupled else None,
         "gap_last": gap_last if coupled else None,
         "n_steps": M * (N - 1) * Rc,
-        "notes": (),
     }
 
 
@@ -665,7 +659,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     for k, size in enumerate(batches):
         alpha = alphas[k]
         blocks = np.stack([s.take(size) for s in streams])  # (Rc, size, width)
-        z0 = blocks[:, :, :x0_off] if init.needs_noise else blocks[:, :, :0]
+        z0 = blocks[:, :, :x0_off]  # zero-width for point initials
         x0 = init.from_block(z0, dim)  # (Rc, size, dim)
         if k == 0:  # the first batch stays at its initial value
             bpath = np.broadcast_to(x0.mean(axis=1)[None], (M + 1, Rc, dim)).copy()
@@ -686,8 +680,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
                 wv = np.repeat(wb / np.asarray(batches[:k], dtype=float), batches[:k])
                 wv = wv / wv.sum()
             # overflow on a diverging path is caught by the finite check below
-            saved_err = np.seterr(over="ignore", invalid="ignore")
-            try:
+            with np.errstate(over="ignore", invalid="ignore"):
                 for m in range(1, M + 1):
                     t_prev = times[m - 1]
                     if moment_only:
@@ -703,12 +696,8 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
                                               db[ri, :, m - 1] if dual else None, dt)
                         x = xn
                     xs_full[m] = x
-            finally:
-                np.seterr(**saved_err)
             n_steps += M * size * Rc
-            _check_finite_path(
-                xs_full.reshape(M + 1, Rc, size * dim), starts[k] + 1, rep_ids
-            )
+            _check_finite_path(xs_full, 0, starts[k] + 1, rep_ids)
             bpath = xs_full.mean(axis=2)  # batch empirical average per grid time
 
         _recursive_update(mean, bpath, alpha)
@@ -733,7 +722,6 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         "atoms_cp": atoms_cp,
         "paths": paths,
         "n_steps": n_steps,
-        "notes": (),
     }
 
 
@@ -786,17 +774,7 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
                 xn[ri] = _em_step(model, times[m - 1], x[ri], AtomView(x[ri], w), dw[ri],
                                   db[ri] if dual else None, dt)
             x = xn
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > BLOWUP_LIMIT:
-            flat = np.abs(x).reshape(Rc, -1)
-            bad = np.argwhere(~np.isfinite(flat) | (flat > BLOWUP_LIMIT))
-            ri, pi = int(bad[0, 0]), int(bad[0, 1]) // dim
-            raise BlowUpError(
-                f"particle {pi + 1} left the stable region at step {m} "
-                f"(replication {rep_ids[ri]})",
-                particle=pi + 1,
-                step=m,
-                replication=rep_ids[ri],
-            )
+        _check_finite_path(x[None], m, 1, rep_ids)
         mean_t[m], second_t[m] = empirical(x)
         if m in cp_at:
             atoms_cp[:, :, cp_at[m]] = x
@@ -808,13 +786,10 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         "second_traj": second_traj,
         "atoms_cp": atoms_cp,
         "paths": None,
-        "gap_kn": None,
-        "gap_last": None,
         # full-grid empirical moments, used by surrogate reference solutions
         "mean_grid": mean_t.transpose(1, 0, 2),
         "second_grid": second_t.transpose(1, 0),
         "n_steps": N * M * Rc,
-        "notes": (),
     }
 
 
@@ -839,7 +814,7 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(run_chunk, chunks))
-    merged = _merge_chunks(parts, chunks)
+    merged = _merge_chunks(parts)
     milestones = config.milestones if algorithm != ALGO_CLASSICAL else (config.N,)
     result = RunResult(
         config=config,
@@ -854,7 +829,7 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
         paths=merged["paths"],
         wall_time_s=time.perf_counter() - t0,
         n_steps=merged["n_steps"],
-        notes=notes + merged["notes"],
+        notes=notes,
     )
     return result, merged
 
@@ -940,6 +915,20 @@ def _rk4_moments(model: ModelSpec, mean0: np.ndarray, second0: float, T: float, 
     return means, seconds, clamps
 
 
+def _moment_reference(model: ModelSpec, config: SimConfig):
+    """RK4 moment curves of model from config's initial law at step
+    dt/_RK4_SUBSTEPS: (grid mean, grid second, fine mean, fine second, clamps)."""
+    fine_mean, fine_second, clamps = _rk4_moments(
+        model,
+        config.initial.mean_vector(model.dim),
+        config.initial.second_moment(model.dim),
+        config.T,
+        config.M * _RK4_SUBSTEPS,
+    )
+    grid = slice(None, None, _RK4_SUBSTEPS)
+    return fine_mean[grid], fine_second[grid], fine_mean, fine_second, clamps
+
+
 def reference_run(
     model: ModelSpec,
     config: SimConfig,
@@ -957,82 +946,53 @@ def reference_run(
     stream seed is offset from config.seed so oracles stay seed-disjoint from
     test runs.
     """
-    seed = (config.seed ^ REFERENCE_SEED_XOR) if seed is None else seed
-    times = config.times()
-    if model.moment_ode is not None:
-        n_ref = config.N if n_ref is None else n_ref
-        substeps = 10
-        fine_mean, fine_second, clamps = _rk4_moments(
-            model,
-            config.initial.mean_vector(model.dim),
-            config.initial.second_moment(model.dim),
-            config.T,
-            config.M * substeps,
-        )
-        fine_times = np.arange(config.M * substeps + 1) * (config.dt / substeps)
-        coarse = slice(None, None, substeps)
-        ref_mean, ref_second = fine_mean[coarse], fine_second[coarse]
-        sample_cfg = replace(
-            config,
-            N=n_ref,
-            seed=seed,
-            replications=1,
-            milestones=None,
-            batch_sizes=None,
-            store_paths=store_paths,
-            measure_backend="full_atoms",
-        )
-        decoupled = _decoupled_samples(model, sample_cfg, ref_mean, ref_second)
-        return ReferenceSolution(
-            kind="moment_closure",
-            times=times,
-            mean=ref_mean,
-            second=ref_second,
-            fine_times=fine_times,
-            fine_mean=fine_mean,
-            fine_second=fine_second,
-            samples=decoupled["samples"],
-            paths=decoupled["paths"],
-            n_ref=n_ref,
-            clamp_count=clamps,
-        )
-    if store_paths:
+    closed = model.moment_ode is not None
+    if store_paths and not closed:
         raise ConfigError(
             f"model {model.name!r} has no moment ODE, and its classical surrogate "
             "reference stores no paths", key="store_paths"
         )
-    n_ref = 10 * config.N if n_ref is None else n_ref
-    surrogate_cfg = replace(
+    if n_ref is None:
+        n_ref = config.N if closed else 10 * config.N
+    ref_cfg = replace(
         config,
         N=n_ref,
-        seed=seed,
+        seed=(config.seed ^ REFERENCE_SEED_XOR) if seed is None else seed,
         replications=1,
         milestones=None,
         batch_sizes=None,
         store_paths=store_paths,
         measure_backend="full_atoms",
     )
-    run, merged = _execute(surrogate_cfg, ALGO_CLASSICAL, workers)
-    samples = {
-        mi: run.snapshots[(0, n_ref, mi)] for mi in config.checkpoint_indices
-    }
+    if closed:
+        mean, second, fine_mean, fine_second, clamps = _moment_reference(model, config)
+        fine_times = np.arange(fine_mean.shape[0]) * (config.dt / _RK4_SUBSTEPS)
+        samples, paths = _decoupled_samples(model, ref_cfg, mean, second)
+    else:  # full-grid moments, indexable by grid position; classical runs store no paths
+        run, merged = _execute(ref_cfg, ALGO_CLASSICAL, workers)
+        mean, second = merged["mean_grid"][0], merged["second_grid"][0]
+        samples = {mi: run.snapshots[(0, n_ref, mi)] for mi in config.checkpoint_indices}
+        fine_times = fine_mean = fine_second = paths = None
+        clamps = 0
     return ReferenceSolution(
-        kind="surrogate_classical",
-        times=times,
-        mean=merged["mean_grid"][0],  # full-grid moments, indexable by grid position
-        second=merged["second_grid"][0],
-        fine_times=None,
-        fine_mean=None,
-        fine_second=None,
+        kind="moment_closure" if closed else "surrogate_classical",
+        times=config.times(),
+        mean=mean,
+        second=second,
+        fine_times=fine_times,
+        fine_mean=fine_mean,
+        fine_second=fine_second,
         samples=samples,
-        paths=None,  # classical runs store no paths
+        paths=paths,
         n_ref=n_ref,
+        clamp_count=clamps,
     )
 
 
-def _decoupled_samples(model, config: SimConfig, ref_mean, ref_second) -> dict:
+def _decoupled_samples(model, config: SimConfig, ref_mean, ref_second):
     """n_ref independent Euler paths whose coefficients read the reference
-    moment curves (the decoupled stand-in for i.i.d. copies of the limit law)."""
+    moment curves (the decoupled stand-in for i.i.d. copies of the limit law):
+    (samples per checkpoint, paths or None)."""
     dim, M, N, dt = model.dim, config.M, config.N, config.dt
     times = config.times()
     sqdt = np.sqrt(dt)
@@ -1040,7 +1000,7 @@ def _decoupled_samples(model, config: SimConfig, ref_mean, ref_second) -> dict:
     width = block_width(dim, M, config.initial.needs_noise, dual)
     x0_off = dim if config.initial.needs_noise else 0
     blocks = BlockStream(replication_stream(config.seed, 0), width).take(N)
-    z0 = blocks[:, :x0_off] if config.initial.needs_noise else blocks[:, :0]
+    z0 = blocks[:, :x0_off]
     x = config.initial.from_block(z0, dim)
     dw = blocks[:, x0_off : x0_off + M * dim].reshape(N, M, dim) * sqdt
     db = blocks[:, x0_off + M * dim :].reshape(N, M, dim) * sqdt if dual else None
@@ -1060,7 +1020,7 @@ def _decoupled_samples(model, config: SimConfig, ref_mean, ref_second) -> dict:
             keep[m] = x.copy()
     w = np.full(N, 1.0 / N)
     samples = {mi: WeightedEmpirical(pts, w.copy()) for mi, pts in keep.items()}
-    return {"samples": samples, "paths": paths}
+    return samples, paths
 
 
 @dataclass
@@ -1092,14 +1052,7 @@ def coupled_spoc_run(config: SimConfig, workers: int = 1) -> CoupledRunResult:
         raise ConfigError("coupled runs need a moment-interaction model", key="model")
     if config.batch_sizes is not None:
         raise ConfigError("coupled runs are particle-by-particle", key="batch_sizes")
-    fine_mean, fine_second, _ = _rk4_moments(
-        config.model,
-        config.initial.mean_vector(config.model.dim),
-        config.initial.second_moment(config.model.dim),
-        config.T,
-        config.M * 10,
-    )
-    ref = (fine_mean[::10], fine_second[::10])
+    ref = _moment_reference(config.model, config)[:2]
     result, merged = _execute(config, ALGO_SPOC, workers, ref_moments=ref)
     return CoupledRunResult(
         run=result, gap_kn=merged["gap_kn"], gap_at_milestone=merged["gap_last"]

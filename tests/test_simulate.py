@@ -188,6 +188,50 @@ def test_worker_count_invariance():
         assert np.array_equal(r1.snapshots[k].atoms, r4.snapshots[k].atoms)
 
 
+def _run_arrays(run):
+    out = {"mean_traj": run.mean_traj, "second_traj": run.second_traj, "paths": run.paths}
+    for k, snap in run.snapshots.items():
+        out[("atoms", *k)], out[("weights", *k)] = snap.atoms, snap.weights
+    return out
+
+
+def _coupled_outputs(workers):
+    res = coupled_spoc_run(ou_config(N=40, M=6, replications=3, milestones=(10, 40)),
+                           workers=workers)
+    return {"gap_kn": res.gap_kn, "gap_at_milestone": res.gap_at_milestone}
+
+
+def _batch_outputs(workers):
+    cfg = ou_config(N=40, M=6, replications=3, batch_sizes=(1, 9, 30), milestones=(10, 40),
+                    store_paths=True)
+    return _run_arrays(batch_spoc_run(cfg, workers=workers))
+
+
+def _classical_outputs(workers):
+    cfg = ou_config(N=30, M=6, replications=3, milestones=(30,), checkpoints=(0.5, 1.0))
+    return _run_arrays(classical_poc_run(cfg, workers=workers))
+
+
+def _surrogate_reference_outputs(workers):
+    cfg = ou_config(model=builtin_model("curie_weiss"), N=20, M=6, replications=3,
+                    milestones=(20,))
+    ref = reference_run(cfg.model, cfg, n_ref=60, workers=workers)
+    assert ref.kind == "surrogate_classical"
+    out = {"mean": ref.mean, "second": ref.second}
+    for mi, mu in ref.samples.items():
+        out[("atoms", mi)], out[("weights", mi)] = mu.atoms, mu.weights
+    return out
+
+
+@pytest.mark.parametrize("outputs", [_coupled_outputs, _batch_outputs, _classical_outputs,
+                                     _surrogate_reference_outputs], ids=lambda f: f.__name__)
+def test_chunk_merge_is_worker_count_invariant(outputs):
+    one, two = outputs(1), outputs(2)
+    assert one.keys() == two.keys()
+    for k in one:
+        assert np.array_equal(one[k], two[k]), k
+
+
 def test_backends_agree_exactly_for_moment_models():
     fa = spoc_run(ou_config())
     so = spoc_run(ou_config(measure_backend="summary_only"))
@@ -468,6 +512,44 @@ def test_blowup_reports_lowest_particle_across_replications():
         spoc_run(cfg)
     err = exc_info.value
     assert (err.particle, err.step, err.replication) == (110, 5, 1)
+
+
+# cubic blow-up model: dX = 50 X^3 dt, no noise and no interaction, so each
+# particle follows its own deterministic Euler iterate until it overflows
+def _cubic_drift(t, x, view):
+    return 50.0 * x**3
+
+
+def cubic_config(**kw):
+    model = ModelSpec(name="cubic", dim=1, drift=_cubic_drift, diffusion=_zero_diffusion,
+                      interaction_form="moment_only", noise_form="measure_free")
+    base = dict(model=model, initial=InitialCondition.gaussian(0.0, 0.2), M=20, N=50,
+                milestones=(50,))
+    return ou_config(**{**base, **kw})
+
+
+def test_batch_blowup_names_the_failing_particle():
+    cfg = cubic_config(seed=1, batch_sizes=(1, 49), replications=1)
+    with pytest.raises(BlowUpError) as exc_info:
+        batch_spoc_run(cfg)
+    err = exc_info.value
+    # the lowest particle of the second batch that is out of range at the first bad step
+    width = block_width(1, cfg.M, True, False)
+    x = 0.2 * BlockStream(replication_stream(1, 0), width).take(cfg.N)[1:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, cfg.M + 1):
+            x = x + 50.0 * x**3 * cfg.dt
+            if not np.all(np.abs(x) <= 1e8):
+                break
+    assert (err.particle, err.step) == (2 + int(np.argmin(np.abs(x) <= 1e8)), m)
+    assert (err.particle, err.step, err.replication) == (10, 5, 0)
+
+
+def test_classical_blowup_reports_context():
+    with pytest.raises(BlowUpError) as exc_info:
+        classical_poc_run(cubic_config(seed=4, replications=2))
+    err = exc_info.value
+    assert (err.particle, err.step, err.replication) == (18, 5, 1)
 
 
 # -- persistence -----------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def convergence_study(
         raise ConfigError(f"unknown algorithm {algorithm!r} for studies", key="algorithm")
     milestones = tuple(int(n) for n in milestones)
     if reference is None:
-        reference = reference_run(config.model, config, workers=workers)
+        reference = reference_run(config.model, config)
     term_idx = config.checkpoint_indices[-1]
     ref_mean = reference.mean[term_idx]
     ref_second = float(reference.second[term_idx])

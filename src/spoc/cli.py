@@ -26,6 +26,9 @@ from .battery import run_battery
 from .errors import BlowUpError, ConfigError, SpocError
 from .schedules import SCHEDULE_KINDS, UpdateSchedule, schedule_diagnostics, theta_sequence
 from .simulate import (
+    ALGO_BATCH,
+    ALGO_CLASSICAL,
+    ALGO_SPOC,
     INITIAL_KINDS,
     MEASURE_BACKENDS,
     RUN_SCHEMA,
@@ -40,8 +43,6 @@ from . import svgplot
 
 NO_FIT = "no fit (fewer than 3 milestones)"
 
-_RUNNERS = {"spoc": spoc_run, "batch_spoc": batch_spoc_run, "classical_poc": classical_poc_run}
-
 # The JSON type of every config key: a dict is a section, [t] an array of t and
 # [t, t] a pair, a tuple lists the types a value may take (None: null) and a set
 # the strings it may be.
@@ -54,7 +55,7 @@ _CONFIG_TYPES = {
     "T": float, "M": int, "N": int, "seed": int, "replications": int,
     "batch_sizes": ([int], None), "checkpoints": [float], "milestones": [int],
     "measure_backend": set(MEASURE_BACKENDS), "store_paths": bool,
-    "algorithm": set(_RUNNERS), "metric": set(METRICS),
+    "algorithm": {ALGO_SPOC, ALGO_BATCH, ALGO_CLASSICAL}, "metric": set(METRICS),
     "gamma": float, "window": int, "bins": int, "range": [float, float],
 }
 _REQUIRED = {"model": "name", "schedule": "kind", "initial": "kind"}
@@ -188,7 +189,7 @@ def _table_outputs(out: Path, stem: str, table, fmt: str) -> None:
 def _cmd_simulate(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
     out = _out_dir(args)
-    algorithm = cfg.get("algorithm", "spoc")
+    algorithm = cfg.get("algorithm", ALGO_SPOC)
     try:
         previous = json.loads((out / "manifest.json").read_text())
     except (OSError, ValueError):
@@ -200,7 +201,10 @@ def _cmd_simulate(cfg: dict, args) -> int:
             and previous.get("algorithm") == algorithm:
         print(f"run already complete in {out}; nothing to do")
         return 0
-    result = _RUNNERS[algorithm](config, workers=args.workers)
+    # looked up per call, so that a runner replaced on this module is the one run
+    runner = {ALGO_SPOC: spoc_run, ALGO_BATCH: batch_spoc_run,
+              ALGO_CLASSICAL: classical_poc_run}[algorithm]
+    result = runner(config, workers=args.workers)
     save_run(result, out)
     print(
         f"{algorithm}: N={config.N} M={config.M} replications={config.replications} "
@@ -214,7 +218,7 @@ def _cmd_compare(cfg: dict, args) -> int:
     out = _out_dir(args)
     milestones = tuple(cfg.get("milestones") or config.milestones)
     metric = cfg.get("metric", METRIC_MEAN)
-    reference = reference_run(config.model, config, workers=args.workers)
+    reference = reference_run(config.model, config)
     seq_table, seq_fit = convergence_study(
         config, milestones, metric, reference, algorithm="spoc", workers=args.workers
     )

@@ -116,12 +116,11 @@ class WeightedEmpirical:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Sufficient statistics for moment-interaction models: mean vector,
-    raw second moment E|X|^2, optionally higher raw moments E|X|^p, p = 3.."""
+    """Sufficient statistics for moment-interaction models: mean vector and
+    raw second moment E|X|^2."""
 
     mean: np.ndarray
     raw_second_moment: float
-    higher: tuple = ()
 
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -135,11 +134,11 @@ class MeasureAccumulator:
     """Mutable running measure for long update streams.
 
     Same semantics as iterating WeightedEmpirical.update; weights are pruned
-    every `prune_every` updates and defensively renormalized every
-    `renormalize_every` updates so sum(weights) = 1 survives >= 1e6 steps.
+    every 64 updates and defensively renormalized every 1000 updates so
+    sum(weights) = 1 survives >= 1e6 steps.
     """
 
-    def __init__(self, dim: int, prune_every: int = 64, renormalize_every: int = 1000):
+    def __init__(self, dim: int):
         self.dim = dim
         self._cap = 1024
         self._atoms = np.empty((self._cap, dim))
@@ -147,8 +146,6 @@ class MeasureAccumulator:
         self._k = 0
         self._count = 0
         self.pruned_mass = 0.0
-        self.prune_every = prune_every
-        self.renormalize_every = renormalize_every
 
     def _grow(self):
         self._cap *= 2
@@ -174,7 +171,7 @@ class MeasureAccumulator:
         self._atoms[self._k] = x
         self._w[self._k] = alpha
         self._k += 1
-        if self._count % self.prune_every == 0:
+        if self._count % 64 == 0:
             keep = self._w[: self._k] > PRUNE_EPS
             kept = int(keep.sum())
             if kept < self._k:
@@ -182,7 +179,7 @@ class MeasureAccumulator:
                 self._atoms[:kept] = self._atoms[: self._k][keep]
                 self._w[:kept] = self._w[: self._k][keep]
                 self._k = kept
-        if self._count % self.renormalize_every == 0:
+        if self._count % 1000 == 0:
             self._w[: self._k] /= self._w[: self._k].sum()
 
     @property
@@ -245,15 +242,12 @@ def moment(mu: WeightedEmpirical, p: int):
     return float(mu.weights @ norms**p)
 
 
-def summary_stats(mu: WeightedEmpirical, max_order: int = 2) -> SummaryStats:
-    """Mean vector and raw moments E|X|^p for p = 2..max_order."""
-    if max_order < 2:
-        raise ValueError("max_order must be >= 2")
+def summary_stats(mu: WeightedEmpirical) -> SummaryStats:
+    """Mean vector and raw second moment E|X|^2; moment(mu, p) gives E|X|^p."""
     mean = mu.weights @ mu.atoms
     norms = np.sqrt(np.sum(mu.atoms**2, axis=1))
     second = float(mu.weights @ norms**2)
-    higher = tuple(float(mu.weights @ norms**p) for p in range(3, max_order + 1))
-    return SummaryStats(mean=mean, raw_second_moment=second, higher=higher)
+    return SummaryStats(mean=mean, raw_second_moment=second)
 
 
 # -- distances --------------------------------------------------------------

@@ -400,12 +400,12 @@ class _NumericAntiderivative:
         return self._spline(s)
 
 
-def _f_prime_factory(kappa: KappaProfile, cutoff_ratio: float = 1e-14) -> Callable[[float], float]:
+def _f_prime_factory(kappa: KappaProfile) -> Callable[[float], float]:
     """f'(r) = 1/2 * int_r^inf s * exp(-(G(s) - G(r))/2) ds by adaptive quadrature,
-    with the upper limit cut where the integrand falls below cutoff_ratio of its peak."""
+    with the upper limit cut where the integrand falls below 1e-14 of its peak."""
     probe_max = 512.0
     g_eff = _make_g_eff(kappa, 64.0)
-    log_cut = math.log(cutoff_ratio)
+    log_cut = math.log(1e-14)
 
     def f_prime(r: float) -> float:
         g_r = float(np.asarray(g_eff(r)))
@@ -457,7 +457,6 @@ def build_f_from_kappa(
     kappa: KappaProfile,
     r_max: float = 8.0,
     n_grid: int = 161,
-    cutoff_ratio: float = 1e-14,
 ) -> FProfile:
     """Construct the concave transform profile induced by kappa.
 
@@ -472,7 +471,7 @@ def build_f_from_kappa(
     if r_max <= 0.0 or n_grid < 2:
         raise ValueError("need r_max > 0 and n_grid >= 2")
     grid = np.linspace(0.0, r_max, n_grid)
-    f_prime_fn = _f_prime_factory(kappa, cutoff_ratio)
+    f_prime_fn = _f_prime_factory(kappa)
     f_prime = np.array([f_prime_fn(float(r)) for r in grid])
 
     f = np.empty_like(grid)

@@ -28,7 +28,7 @@ import time
 from collections import namedtuple
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -137,8 +137,9 @@ class InitialCondition:
 class SimConfig:
     """Full description of a particle run.
 
-    checkpoints are grid times to snapshot (default: terminal time only);
-    milestones are particle counts at which the running measure is recorded.
+    checkpoints are grid times to snapshot (default: terminal time only), and
+    checkpoint_indices their grid indices; milestones are particle counts at
+    which the running measure is recorded.
     """
 
     model: ModelSpec
@@ -154,6 +155,7 @@ class SimConfig:
     milestones: tuple[int, ...] | None = None
     measure_backend: str | None = None
     store_paths: bool = False
+    checkpoint_indices: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.T <= 0.0 or self.M < 1:
@@ -204,7 +206,7 @@ class SimConfig:
         if len(set(idx)) != len(idx):
             raise ConfigError("duplicate checkpoints", key="checkpoints")
         object.__setattr__(self, "checkpoints", tuple(float(j * self.dt) for j in idx))
-        object.__setattr__(self, "_checkpoint_idx", tuple(idx))
+        object.__setattr__(self, "checkpoint_indices", tuple(idx))
         ms = self.milestones if self.milestones is not None else (self.N,)
         ms = tuple(int(n) for n in ms)
         if any(n < 1 or n > self.N for n in ms) or sorted(set(ms)) != list(ms):
@@ -221,10 +223,6 @@ class SimConfig:
 
     def times(self) -> np.ndarray:
         return np.arange(self.M + 1) * self.dt
-
-    @property
-    def checkpoint_indices(self) -> tuple[int, ...]:
-        return self._checkpoint_idx
 
     def to_dict(self) -> dict:
         return {
@@ -278,23 +276,15 @@ class RunResult:
     algorithm: str
     versions: dict
     milestones: tuple[int, ...]
-    checkpoint_times: tuple[float, ...]
     mean_traj: np.ndarray
     second_traj: np.ndarray
     snapshots: RunSnapshots
     paths: np.ndarray | None
     wall_time_s: float | None
     n_steps: int
-    notes: tuple[str, ...] = ()
 
     def milestone_index(self, n: int) -> int:
         return self.milestones.index(n)
-
-    def checkpoint_index(self, t: float) -> int:
-        for i, c in enumerate(self.checkpoint_times):
-            if abs(c - t) <= GRID_TOL * max(1.0, self.config.T):
-                return i
-        raise KeyError(f"no checkpoint at t={t}")
 
 
 def _versions() -> dict:
@@ -793,13 +783,26 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     }
 
 
-def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=None,
-             notes: tuple[str, ...] = ()) -> tuple[RunResult, dict]:
+def _scan_order(config: SimConfig, algorithm: str, err: Exception) -> tuple:
+    """Sort key of a chunk's error: other errors come first, then blow-ups in
+    the order the driver's finite checks meet cells (classical runs step by
+    step, the others batch by batch, a sequential batch being one particle)."""
+    if not isinstance(err, BlowUpError):
+        return ()
+    if algorithm == ALGO_CLASSICAL:
+        return err.step, err.replication, err.particle
+    batch = int(np.searchsorted(np.cumsum(config.batch_sizes or (1,) * config.N), err.particle))
+    return batch, err.step, err.replication, err.particle
+
+
+def _execute(config: SimConfig, algorithm: str, workers: int = 1,
+             ref_moments=None) -> tuple[RunResult, dict]:
     """Run the replication chunks, in this process or on workers, and merge them.
 
     Returns the result and the merged chunk outputs, which also hold the
     coupled gaps (gap_kn, gap_last) and the classical full-grid moments
-    (mean_grid, second_grid).
+    (mean_grid, second_grid).  When chunks blow up, the one raised is the
+    earliest in the driver's scan order, as with a single chunk.
     """
     t0 = time.perf_counter()
     if algorithm == ALGO_CLASSICAL:
@@ -813,7 +816,11 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
         parts = [run_chunk(chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run_chunk, chunks))
+            futures = [pool.submit(run_chunk, c) for c in chunks]
+        errors = [f.exception() for f in futures if f.exception() is not None]
+        if errors:
+            raise min(errors, key=partial(_scan_order, config, algorithm))
+        parts = [f.result() for f in futures]
     merged = _merge_chunks(parts)
     milestones = config.milestones if algorithm != ALGO_CLASSICAL else (config.N,)
     result = RunResult(
@@ -821,7 +828,6 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
         algorithm=algorithm,
         versions=_versions(),
         milestones=milestones,
-        checkpoint_times=config.checkpoints,
         mean_traj=merged["mean_traj"],
         second_traj=merged["second_traj"],
         snapshots=RunSnapshots(config, algorithm, milestones, merged["mean_traj"],
@@ -829,7 +835,6 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1, ref_moments=No
         paths=merged["paths"],
         wall_time_s=time.perf_counter() - t0,
         n_steps=merged["n_steps"],
-        notes=notes,
     )
     return result, merged
 
@@ -849,17 +854,11 @@ def batch_spoc_run(config: SimConfig, workers: int = 1) -> RunResult:
     alpha_k.  All-ones batches reproduce spoc_run bit for bit.
 
     Drift and diffusion both evaluate the previous frozen measure, keeping the
-    batch step consistent with the particle-by-particle recursion (recorded in
-    the manifest notes).
+    batch step consistent with the particle-by-particle recursion.
     """
     if config.batch_sizes is None:
         raise ConfigError("batch_spoc_run requires batch_sizes", key="batch_sizes")
-    return _execute(
-        config,
-        ALGO_BATCH,
-        workers,
-        notes=("batch drift and diffusion both evaluate the previous frozen measure",),
-    )[0]
+    return _execute(config, ALGO_BATCH, workers)[0]
 
 
 def classical_poc_run(config: SimConfig, workers: int = 1) -> RunResult:
@@ -879,7 +878,6 @@ class ReferenceSolution:
     moment ODE) plus decoupled sample paths, or a flagged classical surrogate."""
 
     kind: str
-    times: np.ndarray
     mean: np.ndarray
     second: np.ndarray
     fine_times: np.ndarray | None
@@ -915,13 +913,13 @@ def _rk4_moments(model: ModelSpec, mean0: np.ndarray, second0: float, T: float, 
     return means, seconds, clamps
 
 
-def _moment_reference(model: ModelSpec, config: SimConfig):
-    """RK4 moment curves of model from config's initial law at step
+def _moment_reference(config: SimConfig):
+    """RK4 moment curves of config's model from its initial law at step
     dt/_RK4_SUBSTEPS: (grid mean, grid second, fine mean, fine second, clamps)."""
     fine_mean, fine_second, clamps = _rk4_moments(
-        model,
-        config.initial.mean_vector(model.dim),
-        config.initial.second_moment(model.dim),
+        config.model,
+        config.initial.mean_vector(config.model.dim),
+        config.initial.second_moment(config.model.dim),
         config.T,
         config.M * _RK4_SUBSTEPS,
     )
@@ -933,18 +931,17 @@ def reference_run(
     model: ModelSpec,
     config: SimConfig,
     n_ref: int | None = None,
-    seed: int | None = None,
     store_paths: bool = False,
-    workers: int = 1,
 ) -> ReferenceSolution:
-    """Oracle run for the limiting McKean-Vlasov law.
+    """Oracle run of model for the limiting McKean-Vlasov law, on config's
+    grid and initial law (config.model is not read).
 
     Models with a closed moment system: RK4 at step dt/10 for the moment
     curves, then n_ref decoupled Euler paths fed by those curves (samples per
     checkpoint).  Other models: a classical surrogate at n_ref >= 10*N,
     flagged as such; it has no paths, so store_paths raises ConfigError.  The
-    stream seed is offset from config.seed so oracles stay seed-disjoint from
-    test runs.
+    stream seed is config.seed ^ REFERENCE_SEED_XOR, so oracles stay
+    seed-disjoint from test runs.  A diverging reference raises BlowUpError.
     """
     closed = model.moment_ode is not None
     if store_paths and not closed:
@@ -956,8 +953,9 @@ def reference_run(
         n_ref = config.N if closed else 10 * config.N
     ref_cfg = replace(
         config,
+        model=model,
         N=n_ref,
-        seed=(config.seed ^ REFERENCE_SEED_XOR) if seed is None else seed,
+        seed=config.seed ^ REFERENCE_SEED_XOR,
         replications=1,
         milestones=None,
         batch_sizes=None,
@@ -965,18 +963,17 @@ def reference_run(
         measure_backend="full_atoms",
     )
     if closed:
-        mean, second, fine_mean, fine_second, clamps = _moment_reference(model, config)
+        mean, second, fine_mean, fine_second, clamps = _moment_reference(ref_cfg)
         fine_times = np.arange(fine_mean.shape[0]) * (config.dt / _RK4_SUBSTEPS)
-        samples, paths = _decoupled_samples(model, ref_cfg, mean, second)
+        samples, paths = _decoupled_samples(ref_cfg, mean, second)
     else:  # full-grid moments, indexable by grid position; classical runs store no paths
-        run, merged = _execute(ref_cfg, ALGO_CLASSICAL, workers)
+        run, merged = _execute(ref_cfg, ALGO_CLASSICAL)
         mean, second = merged["mean_grid"][0], merged["second_grid"][0]
         samples = {mi: run.snapshots[(0, n_ref, mi)] for mi in config.checkpoint_indices}
         fine_times = fine_mean = fine_second = paths = None
         clamps = 0
     return ReferenceSolution(
         kind="moment_closure" if closed else "surrogate_classical",
-        times=config.times(),
         mean=mean,
         second=second,
         fine_times=fine_times,
@@ -989,14 +986,14 @@ def reference_run(
     )
 
 
-def _decoupled_samples(model, config: SimConfig, ref_mean, ref_second):
-    """n_ref independent Euler paths whose coefficients read the reference
-    moment curves (the decoupled stand-in for i.i.d. copies of the limit law):
-    (samples per checkpoint, paths or None)."""
-    dim, M, N, dt = model.dim, config.M, config.N, config.dt
+def _decoupled_samples(config: SimConfig, ref_mean, ref_second):
+    """config.N independent Euler paths of config's model whose coefficients
+    read the reference moment curves (the decoupled stand-in for i.i.d. copies
+    of the limit law): (samples per checkpoint, paths or None)."""
+    dim, M, N, dt = config.model.dim, config.M, config.N, config.dt
     times = config.times()
     sqdt = np.sqrt(dt)
-    dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
+    dual = config.model.noise_form == NOISE_ADDITIVE_PLUS_FREE
     width = block_width(dim, M, config.initial.needs_noise, dual)
     x0_off = dim if config.initial.needs_noise else 0
     blocks = BlockStream(replication_stream(config.seed, 0), width).take(N)
@@ -1012,8 +1009,9 @@ def _decoupled_samples(model, config: SimConfig, ref_mean, ref_second):
         keep[0] = x.copy()
     for m in range(1, M + 1):
         view = MomentView(ref_mean[m - 1], ref_second[m - 1])
-        x = _em_step(model, times[m - 1], x, view, dw[:, m - 1],
+        x = _em_step(config.model, times[m - 1], x, view, dw[:, m - 1],
                      db[:, m - 1] if dual else None, dt)
+        _check_finite_path(x[None, None], m, 1, [0])
         if paths is not None:
             paths[:, m] = x
         if m in config.checkpoint_indices:
@@ -1052,7 +1050,7 @@ def coupled_spoc_run(config: SimConfig, workers: int = 1) -> CoupledRunResult:
         raise ConfigError("coupled runs need a moment-interaction model", key="model")
     if config.batch_sizes is not None:
         raise ConfigError("coupled runs are particle-by-particle", key="batch_sizes")
-    ref = _moment_reference(config.model, config)[:2]
+    ref = _moment_reference(config)[:2]
     result, merged = _execute(config, ALGO_SPOC, workers, ref_moments=ref)
     return CoupledRunResult(
         run=result, gap_kn=merged["gap_kn"], gap_at_milestone=merged["gap_last"]
@@ -1096,10 +1094,9 @@ def save_run(result: RunResult, out_dir) -> None:
         "config": result.config.to_dict(),
         "versions": result.versions,
         "milestones": list(result.milestones),
-        "checkpoint_times": list(result.checkpoint_times),
+        "checkpoint_times": list(result.config.checkpoints),
         "replications": result.config.replications,
         "n_steps": result.n_steps,
-        "notes": list(result.notes),
         "complete": False,
     }
     _write_manifest(out, manifest)
@@ -1112,7 +1109,7 @@ def save_run(result: RunResult, out_dir) -> None:
     lines = [",".join(header)]
     for r in range(result.config.replications):
         for l, n in enumerate(result.milestones):
-            for c, t in enumerate(result.checkpoint_times):
+            for c, t in enumerate(result.config.checkpoints):
                 row = [str(r), str(n), repr(float(t))]
                 row += [repr(float(v)) for v in result.mean_traj[r, l, c]]
                 row += [repr(float(result.second_traj[r, l, c]))]
@@ -1154,8 +1151,7 @@ def load_run(out_dir) -> RunResult:
     config = SimConfig.from_dict(manifest["config"])
     algorithm = manifest["algorithm"]
     milestones = tuple(manifest["milestones"])
-    cps = tuple(manifest["checkpoint_times"])
-    shape = (manifest["replications"], len(milestones), len(cps))
+    shape = (manifest["replications"], len(milestones), len(config.checkpoints))
     dim = config.model.dim
     # save_run writes one row per (replication, milestone, checkpoint), in order
     table = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -1169,12 +1165,10 @@ def load_run(out_dir) -> RunResult:
         algorithm=algorithm,
         versions=manifest["versions"],
         milestones=milestones,
-        checkpoint_times=cps,
         mean_traj=mean_traj,
         second_traj=second_traj,
         snapshots=RunSnapshots(config, algorithm, milestones, mean_traj, second_traj, atoms_cp),
         paths=paths,
         wall_time_s=None,
         n_steps=manifest["n_steps"],
-        notes=tuple(manifest.get("notes", ())),
     )

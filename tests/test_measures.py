@@ -73,7 +73,7 @@ def test_update_dimension_mismatch():
 
 def test_accumulator_mass_preserved_over_1e6_updates():
     # defensive renormalization keeps sum(w) = 1 through a million updates
-    acc = MeasureAccumulator(dim=1, renormalize_every=1000)
+    acc = MeasureAccumulator(dim=1)
     alphas = np.concatenate([[1.0], np.full(10**6 - 1, 0.2)])
     draws = np.random.default_rng(1).standard_normal(10**6)
     for i in range(10**6):
@@ -132,9 +132,8 @@ def test_moment_matches_brute_force():
 
 def test_summary_stats_cauchy_schwarz():
     mu = random_measure(50, dim=2)
-    s = summary_stats(mu, max_order=4)
+    s = summary_stats(mu)
     assert s.raw_second_moment >= float(s.mean @ s.mean) - 1e-12
-    assert len(s.higher) == 2
     with pytest.raises(ValueError):
         SummaryStats(mean=np.array([2.0]), raw_second_moment=1.0)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -212,19 +214,8 @@ def _classical_outputs(workers):
     return _run_arrays(classical_poc_run(cfg, workers=workers))
 
 
-def _surrogate_reference_outputs(workers):
-    cfg = ou_config(model=builtin_model("curie_weiss"), N=20, M=6, replications=3,
-                    milestones=(20,))
-    ref = reference_run(cfg.model, cfg, n_ref=60, workers=workers)
-    assert ref.kind == "surrogate_classical"
-    out = {"mean": ref.mean, "second": ref.second}
-    for mi, mu in ref.samples.items():
-        out[("atoms", mi)], out[("weights", mi)] = mu.atoms, mu.weights
-    return out
-
-
-@pytest.mark.parametrize("outputs", [_coupled_outputs, _batch_outputs, _classical_outputs,
-                                     _surrogate_reference_outputs], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("outputs", [_coupled_outputs, _batch_outputs, _classical_outputs],
+                         ids=lambda f: f.__name__)
 def test_chunk_merge_is_worker_count_invariant(outputs):
     one, two = outputs(1), outputs(2)
     assert one.keys() == two.keys()
@@ -428,6 +419,20 @@ def test_reference_surrogate_for_models_without_closure():
     assert ref.samples[30].n_atoms == 200
 
 
+def test_surrogate_reference_runs_the_model_it_is_given():
+    curie_weiss = builtin_model("curie_weiss")
+    cfg = ou_config(N=20, M=6, replications=3, milestones=(20,))
+    ref = reference_run(curie_weiss, cfg, n_ref=60)
+    same = reference_run(curie_weiss, replace(cfg, model=curie_weiss), n_ref=60)
+    assert ref.kind == same.kind == "surrogate_classical"
+    assert np.array_equal(ref.mean, same.mean)
+    assert np.array_equal(ref.second, same.second)
+    assert ref.samples.keys() == same.samples.keys()
+    for mi, mu in ref.samples.items():
+        assert np.array_equal(mu.atoms, same.samples[mi].atoms)
+        assert np.array_equal(mu.weights, same.samples[mi].weights)
+
+
 def test_surrogate_reference_refuses_to_drop_paths():
     cfg = ou_config(model=builtin_model("curie_weiss"), N=50, milestones=(50,),
                     replications=1)
@@ -545,11 +550,28 @@ def test_batch_blowup_names_the_failing_particle():
     assert (err.particle, err.step, err.replication) == (10, 5, 0)
 
 
-def test_classical_blowup_reports_context():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_classical_blowup_reports_context(workers):
+    # two workers raise what one raises: the earliest (step, replication, particle)
     with pytest.raises(BlowUpError) as exc_info:
-        classical_poc_run(cubic_config(seed=4, replications=2))
+        classical_poc_run(cubic_config(seed=4, replications=2), workers=workers)
     err = exc_info.value
     assert (err.particle, err.step, err.replication) == (18, 5, 1)
+
+
+@pytest.mark.parametrize("run, kw", [
+    (spoc_run, dict(initial=InitialCondition.gaussian(0.0, 0.15))),
+    (batch_spoc_run, dict(batch_sizes=(1, 9, 15, 25))),
+], ids=["wavefront", "batch"])
+def test_blowup_context_is_worker_count_invariant(run, kw):
+    cfg = cubic_config(seed=4, replications=4, **kw)
+    contexts = []
+    for workers in (1, 2):
+        with pytest.raises(BlowUpError) as exc_info:
+            run(cfg, workers=workers)
+        err = exc_info.value
+        contexts.append((err.particle, err.step, err.replication))
+    assert contexts[0] == contexts[1]
 
 
 # -- persistence -----------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import linregress, norm
 
 from .errors import ConfigError, DimensionMismatchError, MeasureSizeError
 from .measures import (
@@ -60,6 +58,8 @@ class RateFit:
 
 def rate_fit(ns: Sequence[int], errs: Sequence[float]) -> RateFit:
     """OLS fit on (ln n, ln err); requires >= 3 strictly positive points."""
+    from scipy.stats import linregress
+
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if ns.size < 3:
@@ -194,7 +194,7 @@ def iid_convergence_study(
     milestones: Sequence[int],
     replications: int,
     seed: int,
-    quantile_fn: Callable[[np.ndarray], np.ndarray] = norm.ppf,
+    quantile_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     n_nodes: int = 4096,
     squared: bool = True,
 ) -> tuple[ConvergenceTable, "RateFit | None"]:
@@ -202,9 +202,15 @@ def iid_convergence_study(
 
     Per replication, n i.i.d. standard draws are folded in with the schedule;
     the metric is W_2 (squared by default) to the reference law via
-    quantile-grid integration on n_nodes levels.
+    quantile-grid integration on n_nodes levels.  quantile_fn is the reference
+    law's quantile function; None means the standard normal's (norm.ppf).
     """
     from .simulate import _milestone_log_weights, _weights_at
+
+    if quantile_fn is None:
+        from scipy.stats import norm
+
+        quantile_fn = norm.ppf
 
     milestones = tuple(int(n) for n in milestones)
     n_max = max(milestones)
@@ -325,6 +331,8 @@ def path_space_w2(paths_a: np.ndarray, paths_b: np.ndarray,
     pointwise distance; the transport problem over equal-count equal-weight
     atom sets is a min-cost assignment.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(paths_a, dtype=float)
     b = np.asarray(paths_b, dtype=float)
     if a.ndim == 2:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, MeasureSizeError, NumericsError
 from .schedules import UpdateSchedule
@@ -317,6 +314,8 @@ class GroundCost:
         return cls(kind="concave", fn=fn)
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         r = cdist(a, b)
         if self.kind == "power":
             return r**self.p
@@ -335,6 +334,9 @@ def wasserstein_exact(
     (vertex-exact basic solutions).  For a power cost |x-y|^p this returns the
     cost itself; callers take the p-th root.  Deterministic.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if mu.dim != nu.dim:
         raise DimensionMismatchError("measures must share a dimension")
     cost = cost or GroundCost.power(2.0)

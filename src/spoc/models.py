@@ -18,9 +18,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from .errors import (
     AssumptionViolationError,
@@ -357,6 +354,8 @@ def _make_g_eff(kappa: KappaProfile, s_max: float) -> Callable:
             return kappa.antiderivative
         if k0 >= lam:
             return lambda r: lam * np.asarray(r, dtype=float) ** 2 / 2.0
+        from scipy.optimize import brentq
+
         r_star = brentq(lambda r: float(np.asarray(kappa.fn(np.array([r])))[0]) - lam,
                         1e-12, s_max)
         g_star = float(np.asarray(kappa.antiderivative(r_star)))
@@ -383,12 +382,13 @@ class _NumericAntiderivative:
         self._build(max(s_max, 1.0))
 
     def _build(self, s_max: float) -> None:
+        from scipy.integrate import cumulative_simpson
         from scipy.interpolate import CubicSpline
 
         n = int(s_max * self._NODES_PER_UNIT) + 1
         nodes = np.linspace(0.0, s_max, n)
         vals = nodes * self._kappa.evaluate(nodes)
-        table = integrate.cumulative_simpson(vals, x=nodes, initial=0.0)
+        table = cumulative_simpson(vals, x=nodes, initial=0.0)
         self._spline = CubicSpline(nodes, table)
         self.s_max = s_max
 
@@ -403,6 +403,8 @@ class _NumericAntiderivative:
 def _f_prime_factory(kappa: KappaProfile) -> Callable[[float], float]:
     """f'(r) = 1/2 * int_r^inf s * exp(-(G(s) - G(r))/2) ds by adaptive quadrature,
     with the upper limit cut where the integrand falls below 1e-14 of its peak."""
+    from scipy import integrate
+
     probe_max = 512.0
     g_eff = _make_g_eff(kappa, 64.0)
     log_cut = math.log(1e-14)
@@ -517,6 +519,9 @@ def curie_weiss_weak_interaction_check(beta: float, K: float) -> WeakInteraction
     margin requirement is eta * f'(0) < 1, which for K > 0 reads
     1/K > beta * f'(0) = sqrt(2 pi beta e^beta) Phi(sqrt(beta)).
     """
+    from scipy import integrate
+    from scipy.stats import norm
+
     if beta <= 0.0:
         raise AssumptionViolationError("beta must be > 0")
     rhs_closed = math.sqrt(2.0 * math.pi * beta * math.exp(beta)) * float(norm.cdf(math.sqrt(beta)))

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -287,10 +287,17 @@ class RunResult:
         return self.milestones.index(n)
 
 
-def _versions() -> dict:
-    import scipy
+@cache
+def _scipy_version() -> str:
+    # from the package metadata: importing scipy for its version alone would
+    # cost a run that never calls it about a second, and each metadata read ~5 ms
+    from importlib import metadata
 
-    return {"spoc": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return metadata.version("scipy")
+
+
+def _versions() -> dict:
+    return {"spoc": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
 
 
 def _recursive_update(state: np.ndarray, x, alpha: float) -> None:
@@ -890,7 +897,9 @@ class ReferenceSolution:
 
 
 def _rk4_moments(model: ModelSpec, mean0: np.ndarray, second0: float, T: float, n_steps: int):
-    """Classic RK4 on the closed moment system; clamps transient second < 0 at 0."""
+    """Classic RK4 on the closed moment system; clamps transient second < 0 at 0.
+    A diverging system runs on to inf/nan quietly: the decoupled paths that
+    read the curves report it as a blow-up."""
     h = T / n_steps
     means = np.empty((n_steps + 1, mean0.size))
     seconds = np.empty(n_steps + 1)
@@ -898,18 +907,19 @@ def _rk4_moments(model: ModelSpec, mean0: np.ndarray, second0: float, T: float, 
     clamps = 0
     m, s = mean0.astype(float), float(second0)
     ode = model.moment_ode
-    for i in range(n_steps):
-        t = i * h
-        k1m, k1s = ode(t, m, s)
-        k2m, k2s = ode(t + h / 2, m + h / 2 * k1m, s + h / 2 * k1s)
-        k3m, k3s = ode(t + h / 2, m + h / 2 * k2m, s + h / 2 * k2s)
-        k4m, k4s = ode(t + h, m + h * k3m, s + h * k3s)
-        m = m + h / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        s = s + h / 6 * (k1s + 2 * k2s + 2 * k3s + k4s)
-        if s < 0.0:
-            s = 0.0
-            clamps += 1
-        means[i + 1], seconds[i + 1] = m, s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            t = i * h
+            k1m, k1s = ode(t, m, s)
+            k2m, k2s = ode(t + h / 2, m + h / 2 * k1m, s + h / 2 * k1s)
+            k3m, k3s = ode(t + h / 2, m + h / 2 * k2m, s + h / 2 * k2s)
+            k4m, k4s = ode(t + h, m + h * k3m, s + h * k3s)
+            m = m + h / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+            s = s + h / 6 * (k1s + 2 * k2s + 2 * k3s + k4s)
+            if s < 0.0:
+                s = 0.0
+                clamps += 1
+            means[i + 1], seconds[i + 1] = m, s
     return means, seconds, clamps
 
 
@@ -941,7 +951,8 @@ def reference_run(
     checkpoint).  Other models: a classical surrogate at n_ref >= 10*N,
     flagged as such; it has no paths, so store_paths raises ConfigError.  The
     stream seed is config.seed ^ REFERENCE_SEED_XOR, so oracles stay
-    seed-disjoint from test runs.  A diverging reference raises BlowUpError.
+    seed-disjoint from test runs.  A diverging reference raises BlowUpError,
+    its message prefixed with the reference kind.
     """
     closed = model.moment_ode is not None
     if store_paths and not closed:
@@ -962,18 +973,23 @@ def reference_run(
         store_paths=store_paths,
         measure_backend="full_atoms",
     )
-    if closed:
-        mean, second, fine_mean, fine_second, clamps = _moment_reference(ref_cfg)
-        fine_times = np.arange(fine_mean.shape[0]) * (config.dt / _RK4_SUBSTEPS)
-        samples, paths = _decoupled_samples(ref_cfg, mean, second)
-    else:  # full-grid moments, indexable by grid position; classical runs store no paths
-        run, merged = _execute(ref_cfg, ALGO_CLASSICAL)
-        mean, second = merged["mean_grid"][0], merged["second_grid"][0]
-        samples = {mi: run.snapshots[(0, n_ref, mi)] for mi in config.checkpoint_indices}
-        fine_times = fine_mean = fine_second = paths = None
-        clamps = 0
+    kind = "moment_closure" if closed else "surrogate_classical"
+    try:
+        if closed:
+            mean, second, fine_mean, fine_second, clamps = _moment_reference(ref_cfg)
+            fine_times = np.arange(fine_mean.shape[0]) * (config.dt / _RK4_SUBSTEPS)
+            samples, paths = _decoupled_samples(ref_cfg, mean, second)
+        else:  # full-grid moments, indexable by grid position; classical runs store no paths
+            run, merged = _execute(ref_cfg, ALGO_CLASSICAL)
+            mean, second = merged["mean_grid"][0], merged["second_grid"][0]
+            samples = {mi: run.snapshots[(0, n_ref, mi)] for mi in config.checkpoint_indices}
+            fine_times = fine_mean = fine_second = paths = None
+            clamps = 0
+    except BlowUpError as exc:
+        raise BlowUpError(f"{kind.replace('_', '-')} reference: {exc}", particle=exc.particle,
+                          step=exc.step, replication=exc.replication) from None
     return ReferenceSolution(
-        kind="moment_closure" if closed else "surrogate_classical",
+        kind=kind,
         mean=mean,
         second=second,
         fine_times=fine_times,

@@ -89,6 +89,13 @@ def test_iid_squared_w2_within_theory_envelope():
     assert np.all(est <= envelope * 1.5)
 
 
+def test_iid_default_quantile_is_the_standard_normal():
+    args = (UpdateSchedule.harmonic(10**4), [64, 256, 1024], 3, 11)
+    default, _ = iid_convergence_study(*args)
+    explicit, _ = iid_convergence_study(*args, quantile_fn=norm.ppf)
+    assert default.per_replication.tobytes() == explicit.per_replication.tobytes()
+
+
 def test_iid_geometric_plateau():
     # slowly-plateauing theta: the squared distance stops improving
     sched = UpdateSchedule.geometric(0.9, 800)

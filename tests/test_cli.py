@@ -187,7 +187,26 @@ def test_cli_imports_without_jsonschema():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-# curie_weiss from 60 blows up in the run; OU at dt = 100 blows up already in its
+def test_cli_import_and_simulate_load_no_scipy(tmp_path):
+    # scipy is loaded only by the transport, rate-fit and theory functions
+    src = str(Path(spoc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg, out = write_config(tmp_path, N=60, milestones=[60]), tmp_path / "o"
+    code = (
+        "import sys\n"
+        "def scipy_modules(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import spoc.cli\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        f"assert spoc.cli.dispatch(['simulate', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (out / "manifest.json").exists()
+
+
+# curie_weiss from 60 blows up in the run, and under rates already in its
+# classical surrogate reference; OU at dt = 100 blows up already in its
 # moment-closure reference, which rates and compare build first
 _CURIE_BLOWUP = dict(
     model={"name": "curie_weiss", "params": {"beta": 1.0, "K": 0.5, "sigma": 1.0}},
@@ -197,15 +216,19 @@ _CURIE_BLOWUP = dict(
 _OU_BLOWUP = dict(T=20000.0, M=200, N=50, milestones=[10, 20, 50])
 
 
-@pytest.mark.parametrize("command, overrides", [
-    ("simulate", _CURIE_BLOWUP), ("rates", _OU_BLOWUP), ("compare", _OU_BLOWUP),
-], ids=["simulate", "rates", "compare"])
-def test_blowup_exit_code(tmp_path, capsys, command, overrides):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, overrides, culprit", [
+    ("simulate", _CURIE_BLOWUP, "numeric blow-up: particle"),
+    ("rates", _OU_BLOWUP, "numeric blow-up: moment-closure reference: particle"),
+    ("compare", _OU_BLOWUP, "numeric blow-up: moment-closure reference: particle"),
+    ("rates", _CURIE_BLOWUP, "numeric blow-up: surrogate-classical reference: particle"),
+], ids=["simulate", "rates", "compare", "rates_surrogate"])
+def test_blowup_exit_code(tmp_path, capsys, command, overrides, culprit):
     cfg = write_config(tmp_path, **overrides)
     code = dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "particle" in err and "step" in err
+    assert err.startswith(culprit) and "step" in err
 
 
 def test_rates_iid_mode(tmp_path, capsys):

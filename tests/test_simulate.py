@@ -22,7 +22,7 @@ from spoc import (
 )
 from spoc.measures import summary_stats
 from spoc.rng import BlockStream, block_width, replication_stream
-from spoc.simulate import MomentView, _em_step, load_paths
+from spoc.simulate import MomentView, _em_step, _versions, load_paths
 
 
 def ou_config(**kw):
@@ -505,6 +505,16 @@ def test_blowup_reports_context():
     assert (err.particle, err.step, err.replication) == (2, 2, 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_reference_names_itself():
+    # OU at dt = 100: the moment ODE and its decoupled paths both diverge
+    cfg = ou_config(T=20000.0, M=200, N=50, milestones=(10, 20, 50), replications=1)
+    with pytest.raises(BlowUpError, match="^moment-closure reference: particle 1 ") as exc_info:
+        reference_run(cfg.model, cfg)
+    err = exc_info.value
+    assert (err.particle, err.step, err.replication) == (1, 2, 0)
+
+
 def test_blowup_reports_lowest_particle_across_replications():
     # a wide gaussian initial: the first particle to diverge is a late one, in
     # the second replication
@@ -652,6 +662,13 @@ def test_load_run_rejects_other_schema(tmp_path):
     manifest.write_text(manifest.read_text().replace("spoc-run-v2", "spoc-run-v1"))
     with pytest.raises(RunFormatError, match="spoc-run-v1"):
         load_run(tmp_path / "run")
+
+
+def test_versions_record_the_installed_scipy():
+    # read from the package metadata, without importing scipy
+    import scipy
+
+    assert _versions()["scipy"] == scipy.__version__
 
 
 def test_save_load_round_trip_summary_backend(tmp_path):

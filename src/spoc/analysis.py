@@ -23,7 +23,7 @@ from .measures import (
     w2_quantile_grid,
     wasserstein_1d,
 )
-from .schedules import UpdateSchedule, theta_sequence
+from .schedules import UpdateSchedule, measure_weights, theta_sequence
 from .simulate import (
     ReferenceSolution,
     SimConfig,
@@ -205,8 +205,6 @@ def iid_convergence_study(
     quantile-grid integration on n_nodes levels.  quantile_fn is the reference
     law's quantile function; None means the standard normal's (norm.ppf).
     """
-    from .simulate import _milestone_log_weights, _weights_at
-
     if quantile_fn is None:
         from scipy.stats import norm
 
@@ -215,12 +213,11 @@ def iid_convergence_study(
     milestones = tuple(int(n) for n in milestones)
     n_max = max(milestones)
     samples = np.zeros((replications, len(milestones)))
-    alphas = schedule.alphas(n_max)
-    lw = None if schedule.has_unit_tail(n_max) else _milestone_log_weights(alphas)
+    weights = measure_weights(schedule, n_max)
     for r in range(replications):
         draws = BlockStream(replication_stream(seed, r), 1).take(n_max)[:, 0]
         for l, n in enumerate(milestones):
-            w = _weights_at(n, alphas, lw)
+            w = weights(n)
             mu = WeightedEmpirical(draws[:n], w)
             d = w2_quantile_grid(mu, quantile_fn, n_nodes)
             samples[r, l] = d * d if squared else d
@@ -282,15 +279,26 @@ class DensityCurve:
 def density_histogram(
     mu: WeightedEmpirical, bins: int, range: tuple[float, float] | None = None
 ) -> DensityCurve:
-    """Weighted histogram normalized to integrate to 1; deterministic bin edges."""
+    """Weighted histogram normalized to integrate to 1; deterministic bin edges.
+
+    Without a range the bins span the atoms.  A given range must satisfy
+    lo < hi and hold positive weight, else ConfigError names key "range".
+    """
     if mu.dim != 1:
         raise DimensionMismatchError("density_histogram requires dim = 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     x = mu.atoms[:, 0]
-    lo, hi = range if range is not None else (float(x.min()), float(x.max()))
-    if hi <= lo:
-        hi = lo + 1.0
+    if range is None:
+        lo, hi = float(x.min()), float(x.max())
+        if hi <= lo:
+            hi = lo + 1.0
+    else:
+        lo, hi = range
+        if not lo < hi:
+            raise ConfigError(f"range [{lo}, {hi}] needs lo < hi", key="range")
+        if not mu.weights[(x >= lo) & (x <= hi)].sum() > 0.0:
+            raise ConfigError(f"range [{lo}, {hi}] holds no weight of the measure", key="range")
     density, edges = np.histogram(x, bins=bins, range=(lo, hi), weights=mu.weights,
                                   density=True)
     return DensityCurve(edges=edges, density=density)

@@ -287,10 +287,11 @@ def _cmd_density(cfg: dict, args) -> int:
     out = _out_dir(args)
     result = spoc_run(config, workers=args.workers)
     term = config.checkpoint_indices[-1]
+    # every histogram first, so that a range error writes no file
+    hists = {n: density_histogram(result.snapshots[(0, n, term)], bins, rng)
+             for n in config.milestones}
     curves = {}
-    for n in config.milestones:
-        snap = result.snapshots[(0, n, term)]
-        curve = density_histogram(snap, bins, rng)
+    for n, curve in hists.items():
         curve.to_csv(out / f"density_n{n}.csv")
         curves[f"n={n}"] = (curve.centers, curve.density)
     svgplot.density_plot(out / "density.svg", curves,

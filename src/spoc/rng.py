@@ -3,9 +3,10 @@
 One Philox stream per (seed, replication); the standard-normal stream is
 consumed in global particle order, each particle owning a contiguous block of
 `block_width` values (initial draw first, then the step increments).  Philox
-normal output is a pure function of stream position, so blocks are identical
-whatever the total particle count, chunking, or worker split -- this is what
-makes milestone snapshots bit-identical to shorter runs.
+normal output is a pure function of stream position, so a block does not
+depend on how many blocks each take asked for, on the total particle count or
+on the worker split -- this is what makes milestone snapshots bit-identical
+to shorter runs.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-# particles per bulk draw; a pure performance and memory knob (a sequential run
-# holds one such buffer per replication), bit-neutral by construction
-NOISE_CHUNK = 1024
 
 
 def replication_stream(seed: int, replication: int) -> np.random.Generator:
@@ -34,26 +31,23 @@ def block_width(dim: int, n_steps: int, init_draws: bool, dual_noise: bool) -> i
     return w
 
 
+def split_blocks(blocks: np.ndarray, dim: int, n_steps: int, init_draws: bool,
+                 dual_noise: bool, dt: float):
+    """Split (..., block_width) blocks into (z0, dw, db): the initial draws
+    (..., dim), or (..., 0) without init_draws, and the dW and dB increments
+    (..., n_steps, dim) scaled by sqrt(dt); db is None without dual_noise."""
+    x0 = dim if init_draws else 0
+    inc = blocks[..., x0:].reshape(blocks.shape[:-1] + (-1, n_steps, dim)) * np.sqrt(dt)
+    return blocks[..., :x0], inc[..., 0, :, :], inc[..., 1, :, :] if dual_noise else None
+
+
 class BlockStream:
     """Sequentially yields per-particle normal blocks from one replication stream."""
 
-    def __init__(self, gen: np.random.Generator, width: int, chunk: int = NOISE_CHUNK):
+    def __init__(self, gen: np.random.Generator, width: int):
         self._gen = gen
         self._width = width
-        self._chunk = chunk
-        self._buf = np.empty((0, width))
-        self._pos = 0
 
     def take(self, count: int) -> np.ndarray:
         """Next `count` particle blocks, shape (count, width)."""
-        out = np.empty((count, self._width))
-        filled = 0
-        while filled < count:
-            if self._pos == self._buf.shape[0]:
-                self._buf = self._gen.standard_normal((self._chunk, self._width))
-                self._pos = 0
-            take = min(count - filled, self._buf.shape[0] - self._pos)
-            out[filled : filled + take] = self._buf[self._pos : self._pos + take]
-            self._pos += take
-            filled += take
-        return out
+        return self._gen.standard_normal((count, self._width))

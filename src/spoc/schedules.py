@@ -111,11 +111,9 @@ class UpdateSchedule:
         return np.asarray(self.values[:N], dtype=float)
 
     def has_unit_tail(self, N: int | None = None) -> bool:
-        """True when some alpha_i = 1 for i >= 2 (possible only for explicit schedules)."""
-        if self.kind != "explicit":
-            return False
-        upto = len(self.values) if N is None else min(N, len(self.values))
-        return any(v == 1.0 for v in self.values[1:upto])
+        """True when some alpha_i = 1 for 2 <= i <= N (default max_n); a power law
+        with r small enough that 2^-r rounds to 1 has one too."""
+        return bool(np.any(self.alphas(self.max_n if N is None else N)[1:] == 1.0))
 
     # -- serialization -----------------------------------------------------
 
@@ -165,20 +163,10 @@ class ScheduleDiagnostics:
 
 
 def alpha_value(schedule: UpdateSchedule, n: int) -> float:
-    """alpha_n by the closed form of the schedule kind; alpha_1 = 1 always."""
+    """alpha_n, equal bit for bit to schedule.alphas(N)[n - 1] for every N >= n."""
     if n < 1:
         raise InvalidScheduleError("n must be a positive integer")
-    if schedule.kind == "harmonic":
-        return 1.0 / n
-    if schedule.kind == "power_law":
-        return float(n) ** (-schedule.r)
-    if schedule.kind == "geometric":
-        if n > schedule.max_n:
-            raise InvalidScheduleError("n exceeds max_n for geometric schedule")
-        return schedule.q ** (n - 1)
-    if n > len(schedule.values):
-        raise InvalidScheduleError("n exceeds the explicit sequence length")
-    return schedule.values[n - 1]
+    return float(schedule.alphas(n)[-1])
 
 
 def theta_sequence(schedule: UpdateSchedule, N: int) -> np.ndarray:
@@ -220,6 +208,33 @@ def weight_sequence(schedule: UpdateSchedule, N: int) -> np.ndarray:
             "use theta_sequence / the recursive update instead"
         )
     return a * np.exp(log_s)
+
+
+def measure_weights(schedule: UpdateSchedule, N: int, batch_sizes=None):
+    """Function k -> raw atom weights of mu^(k), the fold of the first k points
+    (or batches) of an N-point run with rates alpha_1..alpha_k.
+
+    w_i^(k) = alpha_i * prod_{j=i+1}^k (1-alpha_j) = exp(ln alpha_i - L_i) * e^{L_k},
+    where L_i = sum_{j=2}^i ln(1-alpha_j); the common e^{L_k} drops out on
+    normalization.  Unit-tail schedules take direct suffix products instead, so
+    atoms before a reset get weight 0.  Batch weights are spread uniformly
+    over each batch's atoms.  The weights depend only on the schedule, the
+    batch sizes and k, so a run read back from disk recomputes them bit for bit.
+    """
+    alphas = schedule.alphas(N)
+    if schedule.has_unit_tail(N):
+        def fold(k):  # alpha_i * prod_{j=i+1}^k (1-alpha_j), the product from the right
+            return alphas[:k] * np.append(np.cumprod(1.0 - alphas[k - 1 : 0 : -1])[::-1], 1.0)
+    else:
+        lw = np.log(alphas) - np.concatenate([[0.0], np.cumsum(np.log1p(-alphas[1:]))])
+
+        def fold(k):
+            w = lw[:k]
+            return np.exp(w - w.max())
+    if batch_sizes is None:
+        return fold
+    sizes = np.asarray(batch_sizes)
+    return lambda k: np.repeat(fold(k) / sizes[:k], sizes[:k])
 
 
 def decay_product(schedule: UpdateSchedule, delta: float, N: int) -> float:

@@ -27,7 +27,6 @@ import struct
 import time
 from collections import namedtuple
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
@@ -43,8 +42,8 @@ from .models import (
     NOISE_ADDITIVE_PLUS_FREE,
     ModelSpec,
 )
-from .rng import BlockStream, block_width, replication_stream
-from .schedules import UpdateSchedule
+from .rng import BlockStream, block_width, replication_stream, split_blocks
+from .schedules import UpdateSchedule, measure_weights
 
 BLOWUP_LIMIT = 1e8
 GRID_TOL = 1e-9
@@ -158,8 +157,10 @@ class SimConfig:
     checkpoint_indices: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.M < 1:
-            raise ConfigError("need T > 0 and M >= 1", key="T")
+        if not 0.0 < self.T < np.inf:
+            raise ConfigError("need a finite T > 0", key="T")
+        if self.M < 1:
+            raise ConfigError("need M >= 1", key="M")
         if self.N < 1:
             raise ConfigError("need N >= 1", key="N")
         if self.replications < 1:
@@ -300,16 +301,14 @@ def _versions() -> dict:
     return {"spoc": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
 
 
-def _recursive_update(state: np.ndarray, x, alpha: float) -> None:
+def _recursive_update(state: np.ndarray, x, alpha) -> None:
     """state <- state + alpha*(x - state), in place; alpha = 1 assigns exactly.
+    alpha is a scalar or an array that broadcasts against state.
 
     Every driver funnels measure updates through here so that degenerate cases
     (batch size 1, milestone reruns) are bit-identical.
     """
-    if alpha == 1.0:
-        state[...] = x
-    else:
-        state += alpha * (x - state)
+    state[...] = np.where(alpha == 1.0, x, state + alpha * (x - state))
 
 
 def _apply_diffusion(sig, dw: np.ndarray) -> np.ndarray:
@@ -365,44 +364,14 @@ def _check_finite_path(block: np.ndarray, step0: int, particle0: int, rep_ids) -
     )
 
 
-def _milestone_log_weights(alphas: np.ndarray) -> np.ndarray:
-    """lw_i with atom weights in mu^n proportional to exp(lw_i) for i <= n.
-
-    w_i^(n) = alpha_i * prod_{j=i+1}^n (1-alpha_j) = exp(ln alpha_i - L_i) * e^{L_n},
-    where L_i = sum_{j<=i, j>=2} ln(1-alpha_j); the common e^{L_n} drops out on
-    normalization.  Requires alpha_i < 1 for i >= 2.
-    """
-    log_alpha = np.log(alphas)
-    L = np.concatenate([[0.0], np.cumsum(np.log1p(-alphas[1:]))])
-    return log_alpha - L
-
-
-def _weights_at(n: int, alphas: np.ndarray, lw: np.ndarray | None) -> np.ndarray:
-    if lw is not None:
-        w = lw[:n]
-        return np.exp(w - w.max())
-    # unit-tail schedules: direct suffix products (atoms before a reset get 0)
-    sfx = np.ones(n)
-    for i in range(n - 2, -1, -1):
-        sfx[i] = sfx[i + 1] * (1.0 - alphas[i + 1])
-    return alphas[:n] * sfx
-
-
 def _milestone_weights(config: SimConfig, algorithm: str, milestones) -> list[np.ndarray]:
-    """Raw atom weights of each milestone's snapshot measure.
-
-    They depend only on the schedule, the batch sizes and n, so a run read
-    back from disk recomputes them bit for bit.  Batch-level weights are
-    spread uniformly over each batch's atoms; classical runs weigh 1/N.
-    """
+    """Raw atom weights of each milestone's snapshot measure (see
+    schedules.measure_weights); classical runs weigh 1/N."""
     if algorithm == ALGO_CLASSICAL:
         return [np.full(n, 1.0 / n) for n in milestones]
-    N = config.N
-    alphas = config.schedule.alphas(N)
-    lw = None if config.schedule.has_unit_tail(N) else _milestone_log_weights(alphas)
-    sizes = np.asarray(config.batch_sizes or (1,) * N)
-    ks = np.searchsorted(np.cumsum(sizes), milestones) + 1  # batches in the first n atoms
-    return [np.repeat(_weights_at(k, alphas, lw) / sizes[:k], sizes[:k]) for k in ks]
+    weights = measure_weights(config.schedule, config.N, config.batch_sizes)
+    ks = np.searchsorted(np.cumsum(config.batch_sizes or (1,) * config.N), milestones) + 1
+    return [weights(k) for k in ks]  # k batches hold the first n atoms
 
 
 class RunSnapshots(Mapping):
@@ -482,7 +451,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     dim, M, N, dt = model.dim, config.M, config.N, config.dt
     Rc = len(rep_ids)
     times = config.times()[:, None, None]  # broadcasts against x[..., :1]
-    sqdt = np.sqrt(dt)
     alphas = config.schedule.alphas(N)
     cp_idx = np.asarray(config.checkpoint_indices, dtype=int)
     n_cp = cp_idx.size
@@ -494,7 +462,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
 
     width = block_width(dim, M, init.needs_noise, dual)
     streams = [BlockStream(replication_stream(config.seed, r), width) for r in rep_ids]
-    x0_off = dim if init.needs_noise else 0
 
     # Row w % S of xs is wave w's anti-diagonal x_{w-j}(t_j), j = 0..M, so the
     # path of particle k is xs[(k + j) % S, j].  Row w % S2 of dws holds the
@@ -536,14 +503,11 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
                 if cur == 0:
                     c = min(S, N - w)
                     rows = (w + np.arange(c)[:, None] + steps) % S2
-                    z0 = np.empty((Rc, c, x0_off))
-                    for ri, stream in enumerate(streams):
-                        block = stream.take(c)
-                        z0[ri] = block[:, :x0_off]
-                        inc = block[:, x0_off:].reshape(c, -1, M, dim) * sqdt
-                        dws[rows, steps, ri] = inc[:, 0]
-                        if dual:
-                            dbs[rows, steps, ri] = inc[:, 1]
+                    blocks = np.stack([s.take(c) for s in streams])  # (Rc, c, width)
+                    z0, dw, db = split_blocks(blocks, dim, M, init.needs_noise, dual, dt)
+                    dws[rows, steps] = dw.transpose(1, 2, 0, 3)
+                    if dual:
+                        dbs[rows, steps] = db.transpose(1, 2, 0, 3)
                     x0s = init.from_block(z0, dim)
                 at = (cols, cols) if w == 0 else (cur, 0)  # the first particle stays put
                 xs[at] = x0s[:, cur]
@@ -563,13 +527,11 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
                     ys[nxt, lo + 1 : hi + 1] = _em_step(model, t, ys[cur, lo:hi], view,
                                                         dw, db, dt)
 
-            # fold the lanes' input states: the arithmetic of _recursive_update
+            # fold the lanes' input states, lane j with the rate of particle w - j
             x = xs[cur, lo : hi + 1]
-            a = alphas[w - hi : w - lo + 1][::-1, None, None]
-            m = mean[lo : hi + 1]
-            mean[lo : hi + 1] = np.where(a == 1.0, x, m + a * (x - m))
-            x2, a, m = (x**2).sum(axis=2), a[..., 0], second[lo : hi + 1]
-            second[lo : hi + 1] = np.where(a == 1.0, x2, m + a * (x2 - m))
+            a = alphas[w - hi : w - lo + 1][::-1, None]
+            _recursive_update(mean[lo : hi + 1], x, a[..., None])
+            _recursive_update(second[lo : hi + 1], (x**2).sum(axis=2), a)
             for l, ci, mi in captures.get(w, ()):
                 mean_traj[:, l, ci] = mean[mi]
                 second_traj[:, l, ci] = second[mi]
@@ -613,12 +575,11 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     Replications evolve in lockstep along a leading vector axis; all
     per-replication arithmetic is elementwise, so chunking is bit-neutral.
     """
-    model, sched, init = config.model, config.schedule, config.initial
+    model, init = config.model, config.initial
     dim, M, N, dt = model.dim, config.M, config.N, config.dt
     Rc = len(rep_ids)
     times = config.times()
-    sqdt = np.sqrt(dt)
-    alphas = sched.alphas(N)
+    alphas = config.schedule.alphas(N)
     cp_idx = np.asarray(config.checkpoint_indices, dtype=int)
     n_cp = cp_idx.size
     milestones = config.milestones
@@ -642,39 +603,32 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     mean = np.zeros((M + 1, Rc, dim))
     second = np.zeros((M + 1, Rc))
     atoms_cp = np.zeros((Rc, N, n_cp, dim)) if full_atoms else None
-    atoms_grid = None
-    if not moment_only:
-        atoms_grid = np.zeros((Rc, N, M + 1, dim))
-    paths = np.zeros((Rc, N, M + 1, dim)) if config.store_paths else None
-    lw = None if sched.has_unit_tail(N) else _milestone_log_weights(alphas)
+    # full-measure steps read the grid paths of all earlier particles
+    grid = None
+    if config.store_paths or not moment_only:
+        grid = np.zeros((Rc, N, M + 1, dim))
+    weights = None if moment_only else measure_weights(config.schedule, N, config.batch_sizes)
 
     mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
     second_traj = np.zeros((Rc, len(milestones), n_cp))
     n_steps = 0
-    x0_off = dim if init.needs_noise else 0
 
     for k, size in enumerate(batches):
         alpha = alphas[k]
         blocks = np.stack([s.take(size) for s in streams])  # (Rc, size, width)
-        z0 = blocks[:, :, :x0_off]  # zero-width for point initials
+        z0, dw, db = split_blocks(blocks, dim, M, init.needs_noise, dual, dt)
         x0 = init.from_block(z0, dim)  # (Rc, size, dim)
         if k == 0:  # the first batch stays at its initial value
             bpath = np.broadcast_to(x0.mean(axis=1)[None], (M + 1, Rc, dim)).copy()
             xs_full = np.broadcast_to(x0[None], (M + 1, Rc, size, dim))
         else:
-            dw = blocks[:, :, x0_off : x0_off + M * dim].reshape(Rc, size, M, dim) * sqdt
-            db = None
-            if dual:
-                db = blocks[:, :, x0_off + M * dim :].reshape(Rc, size, M, dim) * sqdt
             xs_full = np.empty((M + 1, Rc, size, dim))
             x = x0
             xs_full[0] = x
             if not moment_only:
-                # frozen per-particle weights of mu^{n-1}: batch-level weights
-                # spread uniformly inside each batch; constant over the path
+                # frozen per-particle weights of mu^{n-1}, constant over the path
                 n_prev = starts[k]
-                wb = _weights_at(k, alphas, lw)
-                wv = np.repeat(wb / np.asarray(batches[:k], dtype=float), batches[:k])
+                wv = weights(k)
                 wv = wv / wv.sum()
             # overflow on a diverging path is caught by the finite check below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -688,7 +642,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
                         # full-measure interaction: frozen atom list per replication
                         xn = np.empty_like(x)
                         for ri in range(Rc):
-                            view = AtomView(atoms_grid[ri, :n_prev, m - 1, :], wv)
+                            view = AtomView(grid[ri, :n_prev, m - 1, :], wv)
                             xn[ri] = _em_step(model, t_prev, x[ri], view, dw[ri, :, m - 1],
                                               db[ri, :, m - 1] if dual else None, dt)
                         x = xn
@@ -703,10 +657,8 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         end = starts[k + 1]
         if full_atoms:
             atoms_cp[:, starts[k] : end] = xs_full[cp_idx].transpose(1, 2, 0, 3)
-        if atoms_grid is not None:
-            atoms_grid[:, starts[k] : end] = xs_full.transpose(1, 2, 0, 3)
-        if paths is not None:
-            paths[:, starts[k] : end] = xs_full.transpose(1, 2, 0, 3)
+        if grid is not None:
+            grid[:, starts[k] : end] = xs_full.transpose(1, 2, 0, 3)
 
         if end in milestone_set:
             l = milestone_set[end]
@@ -717,7 +669,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         "mean_traj": mean_traj,
         "second_traj": second_traj,
         "atoms_cp": atoms_cp,
-        "paths": paths,
+        "paths": grid if config.store_paths else None,
         "n_steps": n_steps,
     }
 
@@ -822,6 +774,8 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1,
     if len(chunks) == 1:
         parts = [run_chunk(chunks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only workers > 1 pay for it
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(run_chunk, c) for c in chunks]
         errors = [f.exception() for f in futures if f.exception() is not None]
@@ -1008,15 +962,12 @@ def _decoupled_samples(config: SimConfig, ref_mean, ref_second):
     of the limit law): (samples per checkpoint, paths or None)."""
     dim, M, N, dt = config.model.dim, config.M, config.N, config.dt
     times = config.times()
-    sqdt = np.sqrt(dt)
     dual = config.model.noise_form == NOISE_ADDITIVE_PLUS_FREE
-    width = block_width(dim, M, config.initial.needs_noise, dual)
-    x0_off = dim if config.initial.needs_noise else 0
-    blocks = BlockStream(replication_stream(config.seed, 0), width).take(N)
-    z0 = blocks[:, :x0_off]
+    init_draws = config.initial.needs_noise
+    blocks = BlockStream(replication_stream(config.seed, 0),
+                         block_width(dim, M, init_draws, dual)).take(N)
+    z0, dw, db = split_blocks(blocks, dim, M, init_draws, dual, dt)
     x = config.initial.from_block(z0, dim)
-    dw = blocks[:, x0_off : x0_off + M * dim].reshape(N, M, dim) * sqdt
-    db = blocks[:, x0_off + M * dim :].reshape(N, M, dim) * sqdt if dual else None
     paths = np.zeros((N, M + 1, dim)) if config.store_paths else None
     if paths is not None:
         paths[:, 0] = x

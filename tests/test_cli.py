@@ -137,12 +137,17 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("density", ["bins=0"], "bins"),
     ("schedule-diag", ["gamma=-1"], "gamma"),
     ("schedule-diag", ["gamma=0.5", "window=0"], "window"),
+    ("simulate", ["M=0"], "M"),
+    ("simulate", ["T=inf"], "T"),
+    ("density", ["range=[2,-2]"], "range"),
+    ("density", ["range=[5,6]"], "range"),
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
         "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
         "point_without_value", "unknown_initial_kind", "value_of_wrong_dim", "unknown_backend",
         "unknown_algorithm", "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins",
-        "negative_gamma", "zero_window", "truncated_manifest"])
+        "negative_gamma", "zero_window", "zero_steps", "infinite_horizon", "reversed_range",
+        "empty_range", "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     cfg = write_config(tmp_path, N=50, milestones=[50])
     out = tmp_path / "o"
@@ -157,7 +162,8 @@ def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets,
         assert json.loads((out / "manifest.json").read_text())["complete"] is True
     else:
         assert code == 2
-        assert key in capsys.readouterr().err
+        assert f"[{key}]" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("overrides, sets, expected", [
@@ -188,17 +194,19 @@ def test_cli_imports_without_jsonschema():
 
 
 def test_cli_import_and_simulate_load_no_scipy(tmp_path):
-    # scipy is loaded only by the transport, rate-fit and theory functions
+    # scipy is loaded only by the transport, rate-fit and theory functions, and
+    # the process pool only by runs with workers > 1
     src = str(Path(spoc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     cfg, out = write_config(tmp_path, N=60, milestones=[60]), tmp_path / "o"
     code = (
         "import sys\n"
-        "def scipy_modules(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "PREFIXES = ('scipy', 'concurrent.futures', 'multiprocessing')\n"
+        "def heavy_modules(): return sorted(m for m in sys.modules if m.startswith(PREFIXES))\n"
         "import spoc.cli\n"
-        "assert not scipy_modules(), scipy_modules()\n"
+        "assert not heavy_modules(), heavy_modules()\n"
         f"assert spoc.cli.dispatch(['simulate', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
-        "assert not scipy_modules(), scipy_modules()\n"
+        "assert not heavy_modules(), heavy_modules()\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

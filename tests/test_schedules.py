@@ -15,7 +15,7 @@ from spoc import (
     theta_sequence,
     weight_sequence,
 )
-from spoc.schedules import REGIME_ALPHA_GAMMA, REGIME_PRODUCT_FAST
+from spoc.schedules import REGIME_ALPHA_GAMMA, REGIME_PRODUCT_FAST, measure_weights
 
 
 # -- construction and alpha_value --------------------------------------------
@@ -32,6 +32,24 @@ def test_alpha_one_is_exact():
     for s in (UpdateSchedule.harmonic(10), UpdateSchedule.power_law(0.3, 10),
               UpdateSchedule.geometric(0.9, 10), UpdateSchedule.explicit([1.0, 0.25])):
         assert alpha_value(s, 1) == 1.0
+
+
+@pytest.mark.parametrize("sched", [
+    UpdateSchedule.harmonic(5000),
+    UpdateSchedule.power_law(0.1, 5000),
+    UpdateSchedule.geometric(0.9, 1000),
+    UpdateSchedule.explicit(np.linspace(1.0, 0.01, 500) ** 1.7),
+], ids=["harmonic", "power_law", "geometric", "explicit"])
+def test_alpha_matches_alphas_bit_for_bit(sched):
+    N = sched.max_n
+    assert np.array_equal([sched.alpha(n) for n in range(1, N + 1)], sched.alphas(N))
+
+
+def test_power_law_rounding_to_one_is_a_unit_tail():
+    # 2^-r rounds to 1 for r = 1e-17, so every alpha_n = 1 resets the measure
+    s = UpdateSchedule.power_law(1e-17, 5)
+    assert s.has_unit_tail()
+    assert np.array_equal(measure_weights(s, 5)(5), [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_alpha_domain_errors():

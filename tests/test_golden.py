@@ -8,8 +8,9 @@ rewrite of the drivers is checked against the behaviour they replace.
 The cases cover the three builtin models, point and gaussian initials, the
 summary and full_atoms backends, sequential, batch, coupled and classical
 runs, both reference kinds, an explicit unit-tail schedule, a full-measure
-model with the additive-plus-measure-free noise form, and the summary.csv
-bytes of one `spoc simulate`.
+model with the additive-plus-measure-free noise form, the summary.csv
+bytes of one `spoc simulate`, and the tables of three rate studies (sliced
+W_2 against a surrogate, exact 1-d W_2 against a moment closure, i.i.d.).
 
 The digests were made with the platform and library versions in
 GENERATED_WITH.  Float results may differ in the last bits under another
@@ -34,10 +35,13 @@ from spoc import (
     batch_spoc_run,
     builtin_model,
     classical_poc_run,
+    convergence_study,
     coupled_spoc_run,
+    iid_convergence_study,
     reference_run,
     spoc_run,
 )
+from spoc.analysis import METRIC_W2
 from spoc.cli import dispatch
 
 GENERATED_WITH = {"numpy": "2.4.6", "python": "3.11.7", "system": "Linux", "machine": "x86_64"}
@@ -226,6 +230,33 @@ def case_cli_simulate_summary(tmp):
     return {"summary.csv": hashlib.sha256((tmp / "run" / "summary.csv").read_bytes()).hexdigest()}
 
 
+def _table_digests(table) -> dict:
+    return {"per_replication": _digest(table.per_replication),
+            "rows": _digest([(r.n, r.estimate, r.ci_half_width) for r in table.rows])}
+
+
+def case_study_sliced_surrogate(tmp):
+    # sliced W_2 in 3-d against the 10N-atom classical surrogate
+    cfg = _config(builtin_model("repulsive3d"), InitialCondition.point([1.0, 0.0, 0.0]),
+                  M=6, N=60, replications=3, milestones=(7, 25, 60))
+    table, _ = convergence_study(cfg, cfg.milestones, METRIC_W2)
+    return _table_digests(table)
+
+
+def case_study_w1d_moment_closure(tmp):
+    # exact 1-d W_2 against the decoupled moment-closure sample
+    cfg = _config(builtin_model("mean_field_ou"), InitialCondition.gaussian(1.0, 0.5),
+                  N=80, replications=3, milestones=(9, 40, 80))
+    table, _ = convergence_study(cfg, cfg.milestones, METRIC_W2)
+    return _table_digests(table)
+
+
+def case_study_iid(tmp):
+    table, _ = iid_convergence_study(UpdateSchedule.harmonic(10**6), (10, 100, 1000),
+                                     replications=3, seed=11, n_nodes=512)
+    return _table_digests(table)
+
+
 CASES = {name[len("case_"):]: fn for name, fn in globals().items() if name.startswith("case_")}
 
 GOLDEN = {
@@ -286,6 +317,18 @@ GOLDEN = {
         "mean_traj": "e1d3b46598521b7e4fc29a34791be5009ea0a84e1caab0bbf19bd76ad688969a",
         "second_traj": "f4136d2c232bbfbdfbae3e1fb77198e28c6ba31b66ad2fbbbfc2d63e705050e0",
         "snapshots": "11c15c7764cc1a02295c4ee84f0fe5fdd1cc50ab94cc6291a900c8f9a49aaefe",
+    },
+    "study_iid": {
+        "per_replication": "94f06f57c28a9b9fa5844fbb9fca2b86f9746a92c652823892f179bd80afd288",
+        "rows": "bb5462c8df5fadbd7c2989d8528dc435104236d19f1c59fba307abc76d6764dd",
+    },
+    "study_sliced_surrogate": {
+        "per_replication": "d63f9db170dbfe42997c52a98600bcf9e01159681fad70244a2d6c45cb6fdfe6",
+        "rows": "5de7fdd1b11ccb43a936863cd07970300d8ef12ec36254c4767baa62ee9425ee",
+    },
+    "study_w1d_moment_closure": {
+        "per_replication": "61eb7378e70058c9025ddec1b41cbbe041619ec00a793227680d734cb5416080",
+        "rows": "43c36ccda89f984a7b26bce8f407dab3d8d2c42a38f6068141d2bbb3b85c6644",
     },
     "unit_tail_schedule": {
         "mean_traj": "d5a3f518e8fb8803907e7aaab7c94134ef52b27f0d6f70486d801e1b04bdba49",

@@ -34,6 +34,7 @@ from .schedules import (
 from .measures import (
     GroundCost,
     MeasureAccumulator,
+    SlicedReference,
     SummaryStats,
     WeightedEmpirical,
     combine_kn,

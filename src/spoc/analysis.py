@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, MeasureSizeError
 from .measures import (
+    SlicedReference,
     WeightedEmpirical,
     combine_kn_running,
     sliced_w2,
@@ -124,11 +125,14 @@ def _table_from_samples(metric: str, ns: Sequence[int], samples: np.ndarray) -> 
     return ConvergenceTable(metric=metric, rows=rows, per_replication=samples)
 
 
-def _snapshot_distance(snap: WeightedEmpirical, ref_sample: WeightedEmpirical,
-                       seed: int) -> float:
-    if snap.dim == 1:
-        return wasserstein_1d(snap, ref_sample, 2.0)
-    return sliced_w2(snap, ref_sample, SLICED_PROJECTIONS, seed)
+def _w2_samples(snapshots, ref_sample: WeightedEmpirical, seed: int) -> list[float]:
+    """W_2 of each snapshot to the reference sample: exact in 1-d, else sliced
+    with the seed.  The snapshots share the seed, so the reference side of
+    sliced_w2 is prepared once for all of them and freed on return."""
+    if ref_sample.dim == 1:
+        return [wasserstein_1d(snap, ref_sample, 2.0) for snap in snapshots]
+    ref = SlicedReference(ref_sample, SLICED_PROJECTIONS, seed)
+    return [sliced_w2(snap, ref, SLICED_PROJECTIONS, seed) for snap in snapshots]
 
 
 def convergence_study(
@@ -173,14 +177,13 @@ def convergence_study(
                                   workers=workers) for n in milestones)
     for l, (n, run) in enumerate(zip(milestones, runs)):
         i = run.milestone_index(n)
-        for r in range(R):
-            if metric == METRIC_MEAN:
-                samples[r, l] = np.linalg.norm(run.mean_traj[r, i, -1] - ref_mean)
-            elif metric == METRIC_SECOND:
-                samples[r, l] = abs(run.second_traj[r, i, -1] - ref_second)
-            else:
-                snap = run.snapshots[(r, n, term_idx)]
-                samples[r, l] = _snapshot_distance(snap, ref_sample, seed=config.seed + l)
+        if metric == METRIC_W2:
+            snaps = (run.snapshots[(r, n, term_idx)] for r in range(R))
+            samples[:, l] = _w2_samples(snaps, ref_sample, seed=config.seed + l)
+        elif metric == METRIC_MEAN:
+            samples[:, l] = [np.linalg.norm(run.mean_traj[r, i, -1] - ref_mean) for r in range(R)]
+        else:
+            samples[:, l] = np.abs(run.second_traj[:, i, -1] - ref_second)
 
     table = _table_from_samples(metric, milestones, samples)
     fit = None

@@ -9,7 +9,7 @@ f(|x-y|) ground costs), and a sliced estimator for large multi-d instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -250,25 +250,48 @@ def summary_stats(mu: WeightedEmpirical) -> SummaryStats:
 # -- distances --------------------------------------------------------------
 
 
-def _quantile_coupling_cost(xa, wa, xb, wb, p: float) -> float:
-    """Monotone-coupling transport cost sum(seg * |qa - qb|^p) on the merged CDFs.
+def _sorted_cdfs(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sort step of the quantile coupling, for every column of points (k, P)
+    at once: row j of the first (P, k) result is column j sorted, row j of the
+    second the running sum of the weights in that order.
 
-    Segment representatives are level midpoints, so ties at the cut levels are
-    immaterial; sorting is stable with ties broken by atom index.
+    Sorts are stable, so ties break by atom index.  One sort and one running
+    sum over all columns equal the per-column calls bit for bit.
     """
-    ia = np.argsort(xa, kind="stable")
-    ib = np.argsort(xb, kind="stable")
-    xa, wa = xa[ia], wa[ia]
-    xb, wb = xb[ib], wb[ib]
-    ca = np.cumsum(wa)
-    cb = np.cumsum(wb)
-    levels = np.union1d(ca[:-1], cb[:-1])
-    edges = np.concatenate([[0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]])
+    order = np.argsort(points.T, axis=1, kind="stable")
+    cum = weights[order]
+    np.cumsum(cum, axis=1, out=cum)
+    return np.take_along_axis(points.T, order, axis=1), cum
+
+
+def _coupling_cost(xa, ca, xb, cb, p: float) -> float:
+    """Monotone-coupling transport cost sum(seg * |qa - qb|^p) on the merged CDFs,
+    from sorted atoms xa, xb and their cumulative weights ca, cb.
+
+    The cut levels are the distinct values of ca[:-1] and cb[:-1] inside
+    (0, 1).  Segment representatives are level midpoints, so ties at the cut
+    levels are immaterial; the quantile at a midpoint is the atom after the
+    cumulative weights below it (the last atom at most).  One stable merge of
+    ca[:-1] and cb[:-1] counts those weights on both sides without a search:
+    they are the ones at or below the segment's left edge, or strictly below
+    it where the midpoint rounds onto that edge.  The counts equal
+    min(searchsorted(c, mid, "left"), size - 1) bit for bit.
+    """
+    merged = np.concatenate([ca[:-1], cb[:-1]])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    from_a = np.cumsum(order < ca.size - 1)     # ca entries at or before each position
+    keep = (merged > 0.0) & (merged < 1.0)
+    keep[:-1] &= merged[1:] != merged[:-1]      # last of equal levels, with its counts
+    edges = np.concatenate([[0.0], merged[keep], [1.0]])
     seg = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    qa = xa[np.minimum(np.searchsorted(ca, mid, side="left"), xa.size - 1)]
-    qb = xb[np.minimum(np.searchsorted(cb, mid, side="left"), xb.size - 1)]
-    return float(np.sum(seg * np.abs(qa - qb) ** p))
+    on_left_edge = mid == edges[:-1]
+    below_a = np.concatenate([[0], from_a[keep]])
+    below_b = np.concatenate([[0], np.flatnonzero(keep) + 1 - from_a[keep]])
+    ia = np.where(on_left_edge, np.concatenate([[0], below_a[:-1]]), below_a)
+    ib = np.where(on_left_edge, np.concatenate([[0], below_b[:-1]]), below_b)
+    return float(np.sum(seg * np.abs(xa[ia] - xb[ib]) ** p))
 
 
 def wasserstein_1d(mu: WeightedEmpirical, nu: WeightedEmpirical, p: float = 2.0) -> float:
@@ -277,8 +300,9 @@ def wasserstein_1d(mu: WeightedEmpirical, nu: WeightedEmpirical, p: float = 2.0)
         raise DimensionMismatchError("wasserstein_1d requires dim = 1 measures")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    cost = _quantile_coupling_cost(mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights, p)
-    return cost ** (1.0 / p)
+    (xa,), (ca,) = _sorted_cdfs(mu.atoms, mu.weights)
+    (xb,), (cb,) = _sorted_cdfs(nu.atoms, nu.weights)
+    return _coupling_cost(xa, ca, xb, cb, p) ** (1.0 / p)
 
 
 def gaussian_w2_1d(m1: float, s1: float, m2: float, s2: float) -> float:
@@ -365,31 +389,66 @@ def wasserstein_exact(
     return float(res.fun)
 
 
+@dataclass(frozen=True, eq=False)
+class SlicedReference:
+    """The reference side of sliced_w2, prepared once for many calls.
+
+    Holds the seed's unit directions and, per direction, the sorted projected
+    atoms of nu (rows of `atoms`) and their cumulative weights (rows of
+    `cum_weights`).  Build one when several measures are compared with one
+    reference under one seed, as the replications of a convergence-study
+    milestone are; sliced_w2(mu, ref, n_projections, seed) then equals
+    sliced_w2(mu, nu, n_projections, seed) bit for bit.
+    """
+
+    nu: WeightedEmpirical
+    n_projections: int
+    seed: int
+    directions: np.ndarray = field(init=False, repr=False)
+    atoms: np.ndarray = field(init=False, repr=False)
+    cum_weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.n_projections < 1:
+            raise ValueError("n_projections must be >= 1")
+        gen = np.random.default_rng(self.seed)
+        dirs = gen.standard_normal((self.n_projections, self.nu.dim))
+        norms = np.sqrt(np.sum(dirs**2, axis=1))
+        while np.any(norms < 1e-12):  # essentially unreachable; keeps directions unit
+            bad = norms < 1e-12
+            dirs[bad] = gen.standard_normal((int(bad.sum()), self.nu.dim))
+            norms = np.sqrt(np.sum(dirs**2, axis=1))
+        dirs /= norms[:, None]
+        atoms, cum = _sorted_cdfs(self.nu.atoms @ dirs.T, self.nu.weights)
+        for name, value in (("directions", dirs), ("atoms", atoms), ("cum_weights", cum)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+
 def sliced_w2(
-    mu: WeightedEmpirical, nu: WeightedEmpirical, n_projections: int, seed: int
+    mu: WeightedEmpirical, nu: WeightedEmpirical | SlicedReference, n_projections: int,
+    seed: int,
 ) -> float:
     """Sliced W_2: root-mean of squared 1-d W_2 over seeded random unit directions.
 
     Deterministic given the seed; in dimension 1 this equals wasserstein_1d
-    because projections only flip signs.
+    because projections only flip signs.  nu may be a SlicedReference prepared
+    with the same n_projections and seed (else ValueError); the result is the
+    same bits as for its plain measure, without re-projecting and re-sorting it.
     """
-    if mu.dim != nu.dim:
+    if mu.dim != (nu.nu if isinstance(nu, SlicedReference) else nu).dim:
         raise DimensionMismatchError("measures must share a dimension")
-    if n_projections < 1:
-        raise ValueError("n_projections must be >= 1")
-    gen = np.random.default_rng(seed)
-    dirs = gen.standard_normal((n_projections, mu.dim))
-    norms = np.sqrt(np.sum(dirs**2, axis=1))
-    while np.any(norms < 1e-12):  # essentially unreachable; keeps directions unit
-        bad = norms < 1e-12
-        dirs[bad] = gen.standard_normal((int(bad.sum()), mu.dim))
-        norms = np.sqrt(np.sum(dirs**2, axis=1))
-    dirs /= norms[:, None]
-    pa = mu.atoms @ dirs.T
-    pb = nu.atoms @ dirs.T
+    if not isinstance(nu, SlicedReference):
+        nu = SlicedReference(nu, n_projections, seed)
+    elif (nu.n_projections, nu.seed) != (n_projections, seed):
+        raise ValueError(
+            f"reference prepared for {nu.n_projections} projections and seed {nu.seed}, "
+            f"not {n_projections} and {seed}"
+        )
+    atoms, cum = _sorted_cdfs(mu.atoms @ nu.directions.T, mu.weights)
     total = 0.0
     for j in range(n_projections):
-        total += _quantile_coupling_cost(pa[:, j], mu.weights, pb[:, j], nu.weights, 2.0)
+        total += _coupling_cost(atoms[j], cum[j], nu.atoms[j], nu.cum_weights[j], 2.0)
     return float(np.sqrt(total / n_projections))
 
 
@@ -401,9 +460,7 @@ def w2_quantile_grid(
     if mu.dim != 1:
         raise DimensionMismatchError("w2_quantile_grid requires dim = 1")
     u = (np.arange(n_nodes) + 0.5) / n_nodes
-    order = np.argsort(mu.atoms[:, 0], kind="stable")
-    xs = mu.atoms[order, 0]
-    cw = np.cumsum(mu.weights[order])
+    (xs,), (cw,) = _sorted_cdfs(mu.atoms, mu.weights)
     q_emp = xs[np.minimum(np.searchsorted(cw, u, side="left"), xs.size - 1)]
     q_ref = np.asarray(quantile_fn(u), dtype=float)
     return float(np.sqrt(np.mean((q_emp - q_ref) ** 2)))

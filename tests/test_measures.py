@@ -7,6 +7,7 @@ from spoc import (
     GroundCost,
     MeasureAccumulator,
     MeasureSizeError,
+    SlicedReference,
     SummaryStats,
     UpdateSchedule,
     WeightedEmpirical,
@@ -22,6 +23,7 @@ from spoc import (
     wasserstein_exact,
     weight_sequence,
 )
+from spoc.measures import _coupling_cost, _sorted_cdfs
 
 RNG = np.random.default_rng(12345)
 
@@ -285,6 +287,58 @@ def test_sliced_deterministic_given_seed():
     mu, nu = random_measure(20, dim=2), random_measure(25, dim=2)
     assert sliced_w2(mu, nu, 32, seed=7) == sliced_w2(mu, nu, 32, seed=7)
     assert sliced_w2(mu, nu, 32, seed=7) != sliced_w2(mu, nu, 32, seed=8)
+
+
+def test_sliced_reference_equals_plain_call():
+    # equal (harmonic) weights, 600 against 6000 atoms: some cumulative levels
+    # of the two sides coincide and are merged into one cut level
+    rng = np.random.default_rng(31)
+    mu = WeightedEmpirical.from_points(rng.standard_normal((600, 3)))
+    nu = WeightedEmpirical.from_points(1.2 * rng.standard_normal((6000, 3)))
+    for seed in (3, 4):
+        ref = SlicedReference(nu, 64, seed)
+        assert sliced_w2(mu, ref, 64, seed) == sliced_w2(mu, nu, 64, seed)
+    with pytest.raises(ValueError, match="seed"):
+        sliced_w2(mu, ref, 64, seed + 1)
+    with pytest.raises(ValueError, match="projections"):
+        sliced_w2(mu, ref, 32, seed)
+    with pytest.raises(DimensionMismatchError):
+        sliced_w2(random_measure(5, dim=2), ref, 64, seed)
+
+
+def _searched_coupling_cost(xa, ca, xb, cb, p):
+    """The coupling cost with each side's quantile index found by searchsorted."""
+    levels = np.union1d(ca[:-1], cb[:-1])
+    edges = np.concatenate([[0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    qa = xa[np.minimum(np.searchsorted(ca, mid, side="left"), xa.size - 1)]
+    qb = xb[np.minimum(np.searchsorted(cb, mid, side="left"), xb.size - 1)]
+    return float(np.sum(np.diff(edges) * np.abs(qa - qb) ** p))
+
+
+@pytest.mark.parametrize("sizes, kinds", [
+    ((600, 6000), ("equal", "equal")),     # midpoints that round onto a level
+    ((1, 1), ("equal", "equal")),
+    ((1, 7), ("random", "random")),
+    ((40, 25), ("near_prune", "random")),
+    ((30, 90), ("integer", "unnormalised")),
+])
+def test_coupling_cost_equals_searched_indices(sizes, kinds):
+    rng = np.random.default_rng(sum(sizes))
+
+    def weights(n, kind):
+        return {"equal": np.full(n, 1.0 / n), "random": rng.random(n) + 0.01,
+                "near_prune": np.where(rng.random(n) < 0.5, 3e-15, rng.random(n)),
+                "integer": rng.integers(1, 4, n).astype(float),
+                "unnormalised": np.full(n, 7.3)}[kind]
+
+    sides = []
+    for n, kind in zip(sizes, kinds):
+        mu = WeightedEmpirical(rng.integers(-3, 3, n).astype(float), weights(n, kind))
+        (x,), (c,) = _sorted_cdfs(mu.atoms, mu.weights)
+        sides += [x, c]
+    for p in (1.0, 2.0, 3.0):
+        assert _coupling_cost(*sides, p) == _searched_coupling_cost(*sides, p)
 
 
 # -- quantile-grid oracle ------------------------------------------------------------

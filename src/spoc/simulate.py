@@ -198,6 +198,8 @@ class SimConfig:
                               key=f"initial.{key}")
         # resolve checkpoint times against the grid
         cps = self.checkpoints if self.checkpoints is not None else (self.T,)
+        if not cps:
+            raise ConfigError("checkpoints must not be empty", key="checkpoints")
         idx = []
         for c in cps:
             j = int(round(c / self.dt))
@@ -210,6 +212,8 @@ class SimConfig:
         object.__setattr__(self, "checkpoint_indices", tuple(idx))
         ms = self.milestones if self.milestones is not None else (self.N,)
         ms = tuple(int(n) for n in ms)
+        if not ms:
+            raise ConfigError("milestones must not be empty", key="milestones")
         if any(n < 1 or n > self.N for n in ms) or sorted(set(ms)) != list(ms):
             raise ConfigError(
                 "milestones must be strictly increasing particle counts <= N", key="milestones"
@@ -244,7 +248,12 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """Inverse of to_dict; a schedule without max_n covers N particles."""
+        """Inverse of to_dict; a schedule without max_n covers N particles.  An
+        absent or null list takes its default; an empty one is rejected."""
+
+        def listed(key):
+            return None if d.get(key) is None else tuple(d[key])
+
         return cls(
             model=ModelSpec.from_dict(d["model"]),
             schedule=UpdateSchedule.from_dict({"max_n": max(int(d["N"]), 1), **d["schedule"]}),
@@ -253,10 +262,10 @@ class SimConfig:
             M=int(d["M"]),
             N=int(d["N"]),
             seed=int(d["seed"]),
-            batch_sizes=tuple(d["batch_sizes"]) if d.get("batch_sizes") else None,
+            batch_sizes=listed("batch_sizes"),
             replications=int(d.get("replications", 1)),
-            checkpoints=tuple(d["checkpoints"]) if d.get("checkpoints") else None,
-            milestones=tuple(d["milestones"]) if d.get("milestones") else None,
+            checkpoints=listed("checkpoints"),
+            milestones=listed("milestones"),
             measure_backend=d.get("measure_backend"),
             store_paths=bool(d.get("store_paths", False)),
         )

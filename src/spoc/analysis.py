@@ -279,13 +279,23 @@ class DensityCurve:
                 writer.writerow([repr(float(lo)), repr(float(hi)), repr(float(d))])
 
 
+def check_density_range(range: tuple[float, float]) -> tuple[float, float]:
+    """A histogram range (lo, hi), checked before any measure is made:
+    ConfigError names key "range" unless lo < hi."""
+    lo, hi = range
+    if not lo < hi:
+        raise ConfigError(f"range [{lo}, {hi}] needs lo < hi", key="range")
+    return lo, hi
+
+
 def density_histogram(
     mu: WeightedEmpirical, bins: int, range: tuple[float, float] | None = None
 ) -> DensityCurve:
     """Weighted histogram normalized to integrate to 1; deterministic bin edges.
 
-    Without a range the bins span the atoms.  A given range must satisfy
-    lo < hi and hold positive weight, else ConfigError names key "range".
+    Without a range the bins span the atoms.  A given range must pass
+    check_density_range and hold positive weight, else ConfigError names key
+    "range".
     """
     if mu.dim != 1:
         raise DimensionMismatchError("density_histogram requires dim = 1")
@@ -297,9 +307,7 @@ def density_histogram(
         if hi <= lo:
             hi = lo + 1.0
     else:
-        lo, hi = range
-        if not lo < hi:
-            raise ConfigError(f"range [{lo}, {hi}] needs lo < hi", key="range")
+        lo, hi = check_density_range(range)
         if not mu.weights[(x >= lo) & (x <= hi)].sum() > 0.0:
             raise ConfigError(f"range [{lo}, {hi}] holds no weight of the measure", key="range")
     density, edges = np.histogram(x, bins=bins, range=(lo, hi), weights=mu.weights,

@@ -18,6 +18,7 @@ from .analysis import (
     METRIC_MEAN,
     METRIC_W2,
     METRICS,
+    check_density_range,
     convergence_study,
     density_histogram,
     iid_convergence_study,
@@ -282,12 +283,12 @@ def _cmd_density(cfg: dict, args) -> int:
     bins = int(cfg.get("bins", 40))
     if bins < 1:
         raise ConfigError("density needs bins >= 1", key="bins")
-    rng = tuple(cfg["range"]) if cfg.get("range") else None
+    rng = check_density_range(cfg["range"]) if "range" in cfg else None
     config = replace(config, measure_backend="full_atoms")
     out = _out_dir(args)
     result = spoc_run(config, workers=args.workers)
     term = config.checkpoint_indices[-1]
-    # every histogram first, so that a range error writes no file
+    # every histogram first, so that a range holding no weight writes no file
     hists = {n: density_histogram(result.snapshots[(0, n, term)], bins, rng)
              for n in config.milestones}
     curves = {}

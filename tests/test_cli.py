@@ -141,13 +141,17 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("simulate", ["T=inf"], "T"),
     ("density", ["range=[2,-2]"], "range"),
     ("density", ["range=[5,6]"], "range"),
+    ("simulate", ["milestones=[]"], "milestones"),
+    ("simulate", ["checkpoints=[]"], "checkpoints"),
+    ("simulate", ["batch_sizes=[]"], "batch_sizes"),
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
         "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
         "point_without_value", "unknown_initial_kind", "value_of_wrong_dim", "unknown_backend",
         "unknown_algorithm", "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins",
         "negative_gamma", "zero_window", "zero_steps", "infinite_horizon", "reversed_range",
-        "empty_range", "truncated_manifest"])
+        "empty_range", "empty_milestones", "empty_checkpoints", "empty_batch_sizes",
+        "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     cfg = write_config(tmp_path, N=50, milestones=[50])
     out = tmp_path / "o"
@@ -367,3 +371,17 @@ def test_simulate_runs_the_runner_bound_on_the_module(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, N=60, milestones=[60])
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert calls == [60]
+
+
+def test_density_rejects_a_reversed_range_before_the_run(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_spoc_run(config, workers=1):
+        calls.append(config.N)
+        return spoc.simulate.spoc_run(config, workers=workers)
+
+    monkeypatch.setattr(spoc.cli, "spoc_run", counting_spoc_run)
+    cfg = write_config(tmp_path, N=60, milestones=[60], range=[2.0, -2.0])
+    assert dispatch(["density", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "[range]" in capsys.readouterr().err
+    assert calls == []

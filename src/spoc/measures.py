@@ -436,19 +436,18 @@ def sliced_w2(
     with the same n_projections and seed (else ValueError); the result is the
     same bits as for its plain measure, without re-projecting and re-sorting it.
     """
-    if mu.dim != (nu.nu if isinstance(nu, SlicedReference) else nu).dim:
-        raise DimensionMismatchError("measures must share a dimension")
-    if not isinstance(nu, SlicedReference):
-        nu = SlicedReference(nu, n_projections, seed)
-    elif (nu.n_projections, nu.seed) != (n_projections, seed):
+    ref = nu if isinstance(nu, SlicedReference) else SlicedReference(nu, n_projections, seed)
+    if (ref.n_projections, ref.seed) != (n_projections, seed):
         raise ValueError(
-            f"reference prepared for {nu.n_projections} projections and seed {nu.seed}, "
+            f"reference prepared for {ref.n_projections} projections and seed {ref.seed}, "
             f"not {n_projections} and {seed}"
         )
-    atoms, cum = _sorted_cdfs(mu.atoms @ nu.directions.T, mu.weights)
+    if mu.dim != ref.nu.dim:
+        raise DimensionMismatchError("measures must share a dimension")
+    atoms, cum = _sorted_cdfs(mu.atoms @ ref.directions.T, mu.weights)
     total = 0.0
     for j in range(n_projections):
-        total += _coupling_cost(atoms[j], cum[j], nu.atoms[j], nu.cum_weights[j], 2.0)
+        total += _coupling_cost(atoms[j], cum[j], ref.atoms[j], ref.cum_weights[j], 2.0)
     return float(np.sqrt(total / n_projections))
 
 

@@ -269,13 +269,15 @@ def _coupling_cost(xa, ca, xb, cb, p: float) -> float:
     from sorted atoms xa, xb and their cumulative weights ca, cb.
 
     The cut levels are the distinct values of ca[:-1] and cb[:-1] inside
-    (0, 1).  Segment representatives are level midpoints, so ties at the cut
-    levels are immaterial; the quantile at a midpoint is the atom after the
-    cumulative weights below it (the last atom at most).  One stable merge of
-    ca[:-1] and cb[:-1] counts those weights on both sides without a search:
-    they are the ones at or below the segment's left edge, or strictly below
-    it where the midpoint rounds onto that edge.  The counts equal
-    min(searchsorted(c, mid, "left"), size - 1) bit for bit.
+    (0, 1).  Each segment between consecutive edges is represented by its
+    midpoint, so ties at the levels are immaterial.  A side's quantile index at
+    a midpoint is the number of its entries c[:-1] below it, which is
+    min(searchsorted(c, mid, "left"), c.size - 1).  One stable merge of both
+    sides gives those counts without a search: with positive weights every
+    midpoint lies in [left edge, right edge], so the entries below it are
+    those at or below its left edge, or strictly below that edge where the
+    midpoint rounds onto it (adjacent floats).  The indices, and so the cost,
+    equal those of the searches bit for bit.
     """
     merged = np.concatenate([ca[:-1], cb[:-1]])
     order = np.argsort(merged, kind="stable")

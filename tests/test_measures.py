@@ -306,6 +306,17 @@ def test_sliced_reference_equals_plain_call():
         sliced_w2(random_measure(5, dim=2), ref, 64, seed)
 
 
+def test_sorted_cdfs_equal_per_column_sorts():
+    rng = np.random.default_rng(8)
+    points = rng.integers(-4, 4, (300, 16)).astype(float)  # many ties
+    weights = rng.random(300) + 0.01
+    atoms, cum = _sorted_cdfs(points, weights)
+    for j in range(16):
+        order = np.argsort(points[:, j], kind="stable")
+        assert np.array_equal(atoms[j], points[order, j])
+        assert np.array_equal(cum[j], np.cumsum(weights[order]))
+
+
 def _searched_coupling_cost(xa, ca, xb, cb, p):
     """The coupling cost with each side's quantile index found by searchsorted."""
     levels = np.union1d(ca[:-1], cb[:-1])

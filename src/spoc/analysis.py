@@ -28,6 +28,7 @@ from .schedules import UpdateSchedule, measure_weights, theta_sequence
 from .simulate import (
     ReferenceSolution,
     SimConfig,
+    check_milestones,
     classical_poc_run,
     reference_run,
     spoc_run,
@@ -207,13 +208,16 @@ def iid_convergence_study(
     the metric is W_2 (squared by default) to the reference law via
     quantile-grid integration on n_nodes levels.  quantile_fn is the reference
     law's quantile function; None means the standard normal's (norm.ppf).
+    ConfigError names key "milestones" or "replications" for a bad count.
     """
+    milestones = check_milestones(milestones)
+    if replications < 1:
+        raise ConfigError("need replications >= 1", key="replications")
     if quantile_fn is None:
         from scipy.stats import norm
 
         quantile_fn = norm.ppf
 
-    milestones = tuple(int(n) for n in milestones)
     n_max = max(milestones)
     samples = np.zeros((replications, len(milestones)))
     weights = measure_weights(schedule, n_max)

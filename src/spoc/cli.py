@@ -35,6 +35,7 @@ from .simulate import (
     RUN_SCHEMA,
     SimConfig,
     batch_spoc_run,
+    check_milestones,
     classical_poc_run,
     reference_run,
     save_run,
@@ -250,6 +251,7 @@ def _cmd_rates(cfg: dict, args) -> int:
         raise ConfigError("rates requires milestones", key="milestones")
     if cfg.get("model") is None:
         _require(cfg, ["schedule", "seed"])
+        milestones = check_milestones(milestones)  # before max_n is taken from them
         schedule = UpdateSchedule.from_dict({"max_n": max(milestones), **cfg["schedule"]})
         seed = args.seed if args.seed is not None else cfg["seed"]
         table, fit = iid_convergence_study(

@@ -255,13 +255,26 @@ def _sorted_cdfs(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     at once: row j of the first (P, k) result is column j sorted, row j of the
     second the running sum of the weights in that order.
 
-    Sorts are stable, so ties break by atom index.  One sort and one running
-    sum over all columns equal the per-column calls bit for bit.
+    Every row is sorted with numpy's default (unstable, faster) argsort.  Its
+    order differs from the stable order only inside runs of equal values, so
+    the rows whose sorted values hold equal neighbours (-0.0 == 0.0 counts)
+    are sorted again, together, with the stable kind.  The result is the
+    stable order, ties broken by atom index, and so are the running sums:
+    one call over all columns equals the per-column stable sorts bit for bit.
+    Rows that are nearly all ties pay for both sorts: 64 constant rows of 6000
+    take about twice as long as with the stable sort alone (20 ms against 9 ms
+    on a 2-core x86-64 VM).  No study draws such rows.
     """
-    order = np.argsort(points.T, axis=1, kind="stable")
+    cols = points.T
+    order = np.argsort(cols, axis=1)
+    xs = np.take_along_axis(cols, order, axis=1)
+    tied = (xs[:, 1:] == xs[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(cols[tied], axis=1, kind="stable")
+        xs[tied] = np.take_along_axis(cols[tied], order[tied], axis=1)
     cum = weights[order]
     np.cumsum(cum, axis=1, out=cum)
-    return np.take_along_axis(points.T, order, axis=1), cum
+    return xs, cum
 
 
 def _coupling_cost(xa, ca, xb, cb, p: float) -> float:
@@ -460,6 +473,8 @@ def w2_quantile_grid(
     by the midpoint rule on n_nodes uniform levels (the rate-study oracle)."""
     if mu.dim != 1:
         raise DimensionMismatchError("w2_quantile_grid requires dim = 1")
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be >= 1")
     u = (np.arange(n_nodes) + 0.5) / n_nodes
     (xs,), (cw,) = _sorted_cdfs(mu.atoms, mu.weights)
     q_emp = xs[np.minimum(np.searchsorted(cw, u, side="left"), xs.size - 1)]

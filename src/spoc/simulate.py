@@ -68,6 +68,22 @@ _PATHS_MAGIC = b"SPOCPATH"
 _ATOMS_MAGIC = b"SPOCATOM"
 
 
+def check_milestones(milestones, most: int | None = None) -> tuple[int, ...]:
+    """Milestones as a tuple of strictly increasing positive particle counts,
+    each at most `most` when given; else ConfigError names key "milestones"."""
+    ms = tuple(int(n) for n in milestones)
+    if not ms:
+        raise ConfigError("milestones must not be empty", key="milestones")
+    increasing = all(a < b for a, b in zip(ms, ms[1:]))
+    if not increasing or ms[0] < 1 or (most is not None and ms[-1] > most):
+        bound = "" if most is None else f" <= {most}"
+        raise ConfigError(
+            f"milestones must be strictly increasing positive particle counts{bound}",
+            key="milestones",
+        )
+    return ms
+
+
 @dataclass(frozen=True)
 class InitialCondition:
     """Initial law mu_0: a deterministic point or an isotropic Gaussian."""
@@ -211,14 +227,7 @@ class SimConfig:
         object.__setattr__(self, "checkpoints", tuple(float(j * self.dt) for j in idx))
         object.__setattr__(self, "checkpoint_indices", tuple(idx))
         ms = self.milestones if self.milestones is not None else (self.N,)
-        ms = tuple(int(n) for n in ms)
-        if not ms:
-            raise ConfigError("milestones must not be empty", key="milestones")
-        if any(n < 1 or n > self.N for n in ms) or sorted(set(ms)) != list(ms):
-            raise ConfigError(
-                "milestones must be strictly increasing particle counts <= N", key="milestones"
-            )
-        object.__setattr__(self, "milestones", ms)
+        object.__setattr__(self, "milestones", check_milestones(ms, self.N))
         # schedule must cover N particles
         self.schedule.alphas(self.N)
 

@@ -144,6 +144,9 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("simulate", ["milestones=[]"], "milestones"),
     ("simulate", ["checkpoints=[]"], "checkpoints"),
     ("simulate", ["batch_sizes=[]"], "batch_sizes"),
+    ("rates", ["model=null", "replications=0"], "replications"),
+    ("rates", ["model=null", "milestones=[0,100]"], "milestones"),
+    ("rates", ["model=null", "milestones=[100,10,50]"], "milestones"),
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
         "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
@@ -151,6 +154,7 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
         "unknown_algorithm", "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins",
         "negative_gamma", "zero_window", "zero_steps", "infinite_horizon", "reversed_range",
         "empty_range", "empty_milestones", "empty_checkpoints", "empty_batch_sizes",
+        "iid_zero_replications", "iid_zero_milestone", "iid_unordered_milestones",
         "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     cfg = write_config(tmp_path, N=50, milestones=[50])

@@ -317,6 +317,28 @@ def test_sorted_cdfs_equal_per_column_sorts():
         assert np.array_equal(cum[j], np.cumsum(weights[order]))
 
 
+@pytest.mark.parametrize("k", [1, 2, 500])
+def test_sorted_cdfs_is_the_stable_order_on_tied_and_untied_rows(k):
+    # one call mixes rows without ties, which keep the fast sort, and rows
+    # with ties, which are sorted again
+    rng = np.random.default_rng(k)
+    draws = rng.standard_normal(k)
+    signed_zeros = np.where(rng.random(k) < 0.5, 0.0, -0.0)
+    signed_zeros[rng.random(k) < 0.2] = 1.0
+    rounded = np.round(rng.standard_normal(k), 1)
+    columns = [draws, rounded, signed_zeros, np.full(k, 2.5), rng.standard_normal(k),
+               rounded, draws, np.full(k, -0.0), signed_zeros]
+    points = np.column_stack(columns)
+    weights = rng.random(k) + 0.01
+    atoms, cum = _sorted_cdfs(points, weights)
+    assert atoms.shape == cum.shape == (len(columns), k)
+    for j, column in enumerate(columns):
+        order = np.argsort(column, kind="stable")
+        assert np.array_equal(atoms[j], column[order])
+        assert np.array_equal(np.signbit(atoms[j]), np.signbit(column[order]))
+        assert np.array_equal(cum[j], np.cumsum(weights[order]))
+
+
 def _searched_coupling_cost(xa, ca, xb, cb, p):
     """The coupling cost with each side's quantile index found by searchsorted."""
     levels = np.union1d(ca[:-1], cb[:-1])
@@ -374,6 +396,12 @@ def test_quantile_grid_matches_w1d_on_atoms():
 
     est = w2_quantile_grid(mu, q, 8192)
     assert est == pytest.approx(wasserstein_1d(mu, nu, 2), rel=2e-2)
+
+
+@pytest.mark.parametrize("n_nodes", [0, -3])
+def test_quantile_grid_rejects_no_nodes(n_nodes):
+    with pytest.raises(ValueError, match="n_nodes"):
+        w2_quantile_grid(random_measure(8), norm.ppf, n_nodes)
 
 
 # -- serialization ------------------------------------------------------------------

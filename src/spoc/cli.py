@@ -44,6 +44,8 @@ from .simulate import (
 from . import svgplot
 
 NO_FIT = "no fit (fewer than 3 milestones)"
+# the keys that rates reads when it has no model (a study of i.i.d. draws)
+_IID_KEYS = {"model", "schedule", "seed", "replications", "milestones"}
 
 # The JSON type of every config key: a dict is a section, [t] an array of t and
 # [t, t] a pair, a tuple lists the types a value may take (None: null) and a set
@@ -171,9 +173,12 @@ def _build_sim_config(cfg: dict, args) -> SimConfig:
     return SimConfig.from_dict(cfg)
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, make: bool = True) -> Path:
+    """The --out directory.  Commands make it only once their config checks
+    have passed, so that a config error leaves no directory behind."""
     out = Path(args.out or "runs/out")
-    out.mkdir(parents=True, exist_ok=True)
+    if make:
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -190,7 +195,7 @@ def _table_outputs(out: Path, stem: str, table, fmt: str) -> None:
 
 def _cmd_simulate(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
-    out = _out_dir(args)
+    out = _out_dir(args, make=False)  # save_run makes it
     algorithm = cfg.get("algorithm", ALGO_SPOC)
     try:
         previous = json.loads((out / "manifest.json").read_text())
@@ -217,7 +222,6 @@ def _cmd_simulate(cfg: dict, args) -> int:
 
 def _cmd_compare(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
-    out = _out_dir(args)
     milestones = tuple(cfg.get("milestones") or config.milestones)
     metric = cfg.get("metric", METRIC_MEAN)
     reference = reference_run(config.model, config)
@@ -227,6 +231,7 @@ def _cmd_compare(cfg: dict, args) -> int:
     cls_table, cls_fit = convergence_study(
         config, milestones, metric, reference, algorithm="classical_poc", workers=args.workers
     )
+    out = _out_dir(args)
     _table_outputs(out, f"sequential_{metric}", seq_table, args.format)
     _table_outputs(out, f"classical_{metric}", cls_table, args.format)
     svgplot.loglog_rate_plot(
@@ -244,12 +249,14 @@ def _cmd_compare(cfg: dict, args) -> int:
 
 
 def _cmd_rates(cfg: dict, args) -> int:
-    out = _out_dir(args)
     metric = cfg.get("metric", METRIC_W2)
     milestones = cfg.get("milestones")
     if not milestones:
         raise ConfigError("rates requires milestones", key="milestones")
     if cfg.get("model") is None:
+        unread = sorted(set(cfg) - _IID_KEYS)
+        if unread:
+            raise ConfigError(f"rates with no model reads no {unread[0]!r}", key=unread[0])
         _require(cfg, ["schedule", "seed"])
         milestones = check_milestones(milestones)  # before max_n is taken from them
         schedule = UpdateSchedule.from_dict({"max_n": max(milestones), **cfg["schedule"]})
@@ -263,6 +270,7 @@ def _cmd_rates(cfg: dict, args) -> int:
             config, milestones, metric,
             algorithm=cfg.get("algorithm", "spoc"), workers=args.workers,
         )
+    out = _out_dir(args)
     _table_outputs(out, f"rates_{table.metric}", table, args.format)
     svgplot.loglog_rate_plot(
         out / f"rates_{table.metric}.svg",
@@ -287,12 +295,12 @@ def _cmd_density(cfg: dict, args) -> int:
         raise ConfigError("density needs bins >= 1", key="bins")
     rng = check_density_range(cfg["range"]) if "range" in cfg else None
     config = replace(config, measure_backend="full_atoms")
-    out = _out_dir(args)
     result = spoc_run(config, workers=args.workers)
     term = config.checkpoint_indices[-1]
     # every histogram first, so that a range holding no weight writes no file
     hists = {n: density_histogram(result.snapshots[(0, n, term)], bins, rng)
              for n in config.milestones}
+    out = _out_dir(args)
     curves = {}
     for n, curve in hists.items():
         curve.to_csv(out / f"density_n{n}.csv")

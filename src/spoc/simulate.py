@@ -98,8 +98,12 @@ class InitialCondition:
             raise ConfigError(f"unknown initial kind {self.kind!r}", key="initial.kind")
         if self.kind == "point" and self.value is None:
             raise ConfigError("point initial requires a value", key="initial.value")
-        if self.kind == "gaussian" and self.std < 0.0:
-            raise ConfigError("gaussian initial requires std >= 0", key="initial.std")
+        if self.kind == "gaussian" and not 0.0 <= self.std < np.inf:
+            raise ConfigError("gaussian initial requires a finite std >= 0", key="initial.std")
+        for key in ("value", "mean"):
+            base = getattr(self, key)
+            if base is not None and not np.isfinite(base).all():
+                raise ConfigError(f"initial {key} must be finite", key=f"initial.{key}")
 
     @classmethod
     def point(cls, x) -> "InitialCondition":
@@ -319,14 +323,21 @@ def _versions() -> dict:
     return {"spoc": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
 
 
-def _recursive_update(state: np.ndarray, x, alpha) -> None:
+def _recursive_update(state: np.ndarray, x, alpha, exact: bool = True) -> None:
     """state <- state + alpha*(x - state), in place; alpha = 1 assigns exactly.
     alpha is a scalar or an array that broadcasts against state.
 
-    Every driver funnels measure updates through here so that degenerate cases
-    (batch size 1, milestone reruns) are bit-identical.
+    exact=False promises that no alpha is 1: the update then runs in place in
+    x, an array of state's shape that it overwrites, with the same arithmetic
+    in the same order.  Every driver funnels measure updates through here so
+    that degenerate cases (batch size 1, milestone reruns) are bit-identical.
     """
-    state[...] = np.where(alpha == 1.0, x, state + alpha * (x - state))
+    if exact:
+        state[...] = np.where(alpha == 1.0, x, state + alpha * (x - state))
+    else:
+        np.subtract(x, state, out=x)
+        x *= alpha
+        state += x
 
 
 def _apply_diffusion(sig, dw: np.ndarray) -> np.ndarray:
@@ -365,6 +376,16 @@ def _em_step(model: ModelSpec, t, x: np.ndarray, view, dw: np.ndarray, db, dt: f
     return x
 
 
+def _blowup_error(particle: int, step: int, replication: int) -> BlowUpError:
+    return BlowUpError(
+        f"particle {particle} left the stable region at step {step} "
+        f"(replication {replication}): |x| > {BLOWUP_LIMIT:g} or non-finite",
+        particle=particle,
+        step=step,
+        replication=replication,
+    )
+
+
 def _check_finite_path(block: np.ndarray, step0: int, particle0: int, rep_ids) -> None:
     """block: (steps, R, particles, dim), starting at grid step step0 and at
     1-based particle particle0.  Raises BlowUpError for the first bad cell in
@@ -373,13 +394,7 @@ def _check_finite_path(block: np.ndarray, step0: int, particle0: int, rep_ids) -
         return
     ok = np.isfinite(block).all(axis=3) & (np.abs(block).max(axis=3) <= BLOWUP_LIMIT)
     m, r, p = (int(i) for i in np.argwhere(~ok)[0])
-    raise BlowUpError(
-        f"particle {particle0 + p} left the stable region at step {step0 + m} "
-        f"(replication {rep_ids[r]}): |x| > {BLOWUP_LIMIT:g} or non-finite",
-        particle=particle0 + p,
-        step=step0 + m,
-        replication=rep_ids[r],
-    )
+    raise _blowup_error(particle0 + p, step0 + m, rep_ids[r])
 
 
 def _milestone_weights(config: SimConfig, algorithm: str, milestones) -> list[np.ndarray]:
@@ -461,9 +476,19 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     particle-by-particle loop, so the bits are the same.  Replications evolve
     in lockstep along a vector axis, so chunking is bit-neutral.
 
+    The finite check reads the whole path ring once every M + 1 waves and
+    after the last one; a cell stays in the ring for M + 1 waves, so each is
+    read before it is overwritten.  When the check fails, the waves go on
+    until every particle below the lowest bad one has completed, checking the
+    ring again then: particles never read a higher particle's state, so the
+    error names the lowest bad particle, its first bad step and then the
+    lowest replication, as a check of each path at completion would.
+    Particle 1 never moves and is not checked.
+
     When ref_moments is given (coupled runs), each particle has a companion
     driven by the reference moment curves with the same increments, stepped
-    by a second _em_step call per wave.
+    by a second _em_step call per wave; each particle's squared gap is summed
+    over the grid as its waves pass.
     """
     model, init = config.model, config.initial
     dim, M, N, dt = model.dim, config.M, config.N, config.dt
@@ -484,17 +509,25 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     # Row w % S of xs is wave w's anti-diagonal x_{w-j}(t_j), j = 0..M, so the
     # path of particle k is xs[(k + j) % S, j].  Row w % S2 of dws holds the
     # increments of the cells (w - j, j).  Noise is taken S particles at a time.
+    # xs starts at zero: the finite check reads lanes no wave has written yet.
     S, S2 = M + 1, 2 * (M + 1)
     steps, cols = np.arange(M), np.arange(M + 1)
     prows = (np.arange(S)[:, None] + cols) % S  # rows of xs on particle k's path
-    xs = np.empty((S, M + 1, Rc, dim))
+    xs = np.zeros((S, M + 1, Rc, dim))
     dws = np.empty((S2, M, Rc, dim))
     dbs = np.empty_like(dws) if dual else None
 
-    mean = np.zeros((M + 1, Rc, dim))
-    second = np.zeros((M + 1, Rc))
+    # mean and raw second moment side by side, folded by one update per wave
+    state = np.zeros((M + 1, Rc, dim + 1))
+    folded = np.empty_like(state)  # each wave's [x, |x|^2]
+    # alphas of the lanes j = lo..hi of wave w, particles w - j, are
+    # rev_alphas[N - 1 - w + lo : N - w + hi]; past wave exact_until, whose
+    # lanes reach back to the last particle with alpha = 1, none is 1
+    rev_alphas = alphas[::-1, None, None]
+    exact_until = np.flatnonzero(alphas == 1.0)[-1] + M
     atoms_cp = np.zeros((Rc, N, n_cp, dim)) if full_atoms else None
     paths = np.zeros((Rc, N, M + 1, dim)) if config.store_paths else None
+    gather = full_atoms or paths is not None
 
     mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
     second_traj = np.zeros((Rc, len(milestones), n_cp))
@@ -512,8 +545,14 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
         kn_gap_state = np.zeros(Rc)
         trap_w = np.full((M + 1, 1), dt)
         trap_w[0] = trap_w[-1] = 0.5 * dt
+        # gap_sums[w % 2, j + 1] is the running trapezoid sum of the particle
+        # on lane j after wave w, added in grid order as np.cumsum adds, so its
+        # bits do not depend on the chunk size; column 0 stays 0.0, the sum
+        # before t_0
+        gap_sums = np.zeros((2, M + 2, Rc))
 
-    # overflow on a diverging path is caught by the finite check at completion
+    first_bad = stop = None  # lowest (particle, step, replication) out of range, 0-based
+    # overflow on a diverging path is caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(N + M):
             cur, nxt = w % S, (w + 1) % S
@@ -538,7 +577,7 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
             if hi > lo:
                 t, dw = times[lo:hi], dws[w % S2, lo:hi]
                 db = dbs[w % S2, lo:hi] if dual else None
-                view = MomentView(mean[lo:hi], second[lo:hi])
+                view = MomentView(state[lo:hi, :, :dim], state[lo:hi, :, dim])
                 xs[nxt, lo + 1 : hi + 1] = _em_step(model, t, xs[cur, lo:hi], view, dw, db, dt)
                 if coupled:
                     view = MomentView(ref_mean[lo:hi], ref_second[lo:hi])
@@ -546,34 +585,45 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
                                                         dw, db, dt)
 
             # fold the lanes' input states, lane j with the rate of particle w - j
-            x = xs[cur, lo : hi + 1]
-            a = alphas[w - hi : w - lo + 1][::-1, None]
-            _recursive_update(mean[lo : hi + 1], x, a[..., None])
-            _recursive_update(second[lo : hi + 1], (x**2).sum(axis=2), a)
+            x, u = xs[cur, lo : hi + 1], folded[: hi + 1 - lo]
+            u[..., :dim] = x
+            np.add.reduce(np.square(x), axis=2, out=u[..., dim])  # np.sum, minus its wrapper
+            a = rev_alphas[N - 1 - w + lo : N - w + hi]
+            _recursive_update(state[lo : hi + 1], u, a, w <= exact_until)
             for l, ci, mi in captures.get(w, ()):
-                mean_traj[:, l, ci] = mean[mi]
-                second_traj[:, l, ci] = second[mi]
+                mean_traj[:, l, ci] = state[mi, :, :dim]
+                second_traj[:, l, ci] = state[mi, :, dim]
+            if coupled:
+                diff = x - ys[cur, lo : hi + 1]
+                np.add(gap_sums[(w - 1) % 2, lo : hi + 1],
+                       trap_w[lo : hi + 1] * np.add.reduce(np.square(diff), axis=2),
+                       out=gap_sums[w % 2, lo + 1 : hi + 2])
+
+            if w % S == M or w == N + M - 1 or w == stop:
+                if not np.abs(xs).max() <= BLOWUP_LIMIT:  # a NaN maximum fails this too
+                    found = (first_bad, _ring_first_bad(xs, w, N))
+                    first_bad = min(filter(None, found), default=None)
+                    # the wave on which the last particle below it completes
+                    stop = None if first_bad is None else first_bad[0] - 1 + M
+                if stop is not None and w >= stop:
+                    raise _blowup_error(first_bad[0] + 1, first_bad[1], rep_ids[first_bad[2]])
 
             k = w - M  # particle index k (0-based) has its whole path now
             if k < 0:
                 continue
-            prow = prows[k % S]
-            xp = xs[prow, cols]  # (M+1, Rc, dim)
-            if k > 0:
-                _check_finite_path(xp[:, :, None], 0, k + 1, rep_ids)
+            if gather:
+                xp = xs[prows[k % S], cols]  # (M+1, Rc, dim)
+                if full_atoms:
+                    atoms_cp[:, k] = xp[cp_idx].transpose(1, 0, 2)
+                if paths is not None:
+                    paths[:, k] = xp.transpose(1, 0, 2)
             if coupled:
-                diff = xp - ys[prow, cols]
-                # a running sum over the grid: its bits do not depend on the chunk size
-                gap = np.cumsum(trap_w * np.sum(diff**2, axis=2), axis=0)[-1] / config.T
+                gap = gap_sums[w % 2, M + 1] / config.T
                 _recursive_update(kn_gap_state, gap, alphas[k])
-            if full_atoms:
-                atoms_cp[:, k] = xp[cp_idx].transpose(1, 0, 2)
-            if paths is not None:
-                paths[:, k] = xp.transpose(1, 0, 2)
-            l = milestone_set.get(k + 1)
-            if coupled and l is not None:
-                gap_kn[:, l] = kn_gap_state
-                gap_last[:, l] = gap
+                l = milestone_set.get(k + 1)
+                if l is not None:
+                    gap_kn[:, l] = kn_gap_state
+                    gap_last[:, l] = gap
 
     return {
         "mean_traj": mean_traj,
@@ -584,6 +634,22 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
         "gap_last": gap_last if coupled else None,
         "n_steps": M * (N - 1) * Rc,
     }
+
+
+def _ring_first_bad(xs: np.ndarray, w: int, N: int):
+    """Lowest (particle, step, replication), all 0-based, of an out-of-range
+    cell of the path ring xs (S, M+1, R, dim) at the end of wave w, or None.
+
+    Lane j >= 1 of row r holds the last anti-diagonal d <= w + 1 with
+    d % S == r, particle d - j, and lane 0 the particle that entered on the
+    last wave v <= w with v % S == r.  Cells of particle 0, which never
+    moves, and lanes that no wave wrote on that diagonal are skipped."""
+    S = xs.shape[0]
+    rows, lanes, reps = np.nonzero(~(np.abs(xs).max(axis=3) <= BLOWUP_LIMIT))
+    top = np.where(lanes > 0, w + 1, w)
+    k = top - (top - rows) % S - lanes
+    keep = (k > 0) & (k < N)
+    return min(zip(k[keep].tolist(), lanes[keep].tolist(), reps[keep].tolist()), default=None)
 
 
 def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:

@@ -584,6 +584,61 @@ def test_blowup_context_is_worker_count_invariant(run, kw):
     assert contexts[0] == contexts[1]
 
 
+def _cubic_bad_steps(cfg, replication=0):
+    """First step at which each particle's deterministic cubic iterate is out
+    of range (0 where it never is); particle 1 is frozen, so it reads 0."""
+    width = block_width(1, cfg.M, True, False)
+    x = 0.2 * BlockStream(replication_stream(cfg.seed, replication), width).take(cfg.N)[:, 0]
+    steps = np.zeros(cfg.N, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, cfg.M + 1):
+            x = x + 50.0 * x**3 * cfg.dt
+            steps[(steps == 0) & ~(np.abs(x) <= 1e8)] = m
+    steps[0] = 0
+    return steps
+
+
+def test_wavefront_blowup_waits_for_a_lower_particle_that_diverges_later():
+    cfg = cubic_config(seed=139, replications=1)
+    steps = _cubic_bad_steps(cfg)
+    bad = np.flatnonzero(steps)
+    # cell (k, j) is written on wave k + j - 1 (k 0-based): a higher particle
+    # goes out of range on an earlier wave than the lowest one
+    waves = bad + steps[bad] - 1
+    assert waves[1:].min() < waves[0]
+    with pytest.raises(BlowUpError) as exc_info:
+        spoc_run(cfg)
+    err = exc_info.value
+    assert (err.particle, err.step) == (bad[0] + 1, steps[bad[0]])
+    assert (err.particle, err.step, err.replication) == (6, 20, 0)
+
+
+def test_wavefront_blowup_of_the_last_particle_in_the_tail_waves():
+    cfg = cubic_config(seed=139, replications=1, N=6, milestones=(6,))
+    steps = _cubic_bad_steps(cfg)
+    # only particle N goes out of range, on a wave after the last one that
+    # starts a particle
+    assert np.flatnonzero(steps).tolist() == [cfg.N - 1]
+    assert cfg.N - 1 + steps[-1] - 1 >= cfg.N
+    with pytest.raises(BlowUpError) as exc_info:
+        spoc_run(cfg)
+    err = exc_info.value
+    assert (err.particle, err.step, err.replication) == (6, 20, 0)
+
+
+@pytest.mark.parametrize("run, backend", [
+    (spoc_run, "full_atoms"), (spoc_run, "summary_only"), (coupled_spoc_run, "summary_only"),
+], ids=["full_atoms", "summary", "coupled"])
+def test_wavefront_blowup_at_the_initial_point(run, backend):
+    # particle 1 never moves and is not checked; particle 2 is out of range at t_0
+    cfg = ou_config(initial=InitialCondition.point(1e9), N=10, milestones=(10,),
+                    replications=3, measure_backend=backend)
+    with pytest.raises(BlowUpError) as exc_info:
+        run(cfg)
+    err = exc_info.value
+    assert (err.particle, err.step, err.replication) == (2, 0, 0)
+
+
 # -- persistence -----------------------------------------------------------------------------
 
 

@@ -29,6 +29,14 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def write_iid_config(tmp_path):
+    # rates with no model reads schedule, seed, replications and milestones only
+    path = tmp_path / "iid.json"
+    path.write_text(json.dumps({"model": None, "schedule": {"kind": "harmonic"}, "seed": 7,
+                                "replications": 5, "milestones": [128, 512, 2048]}))
+    return path
+
+
 def test_simulate_writes_manifest_and_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -148,6 +156,9 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("simulate", ["milestones=[]"], "milestones"),
     ("simulate", ["checkpoints=[]"], "checkpoints"),
     ("simulate", ["batch_sizes=[]"], "batch_sizes"),
+    ("rates", ["model=null", "replications=0"], "replications"),
+    ("rates", ["model=null", "milestones=[0,100]"], "milestones"),
+    ("rates", ["model=null", "milestones=[100,10,50]"], "milestones"),
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
         "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
@@ -156,9 +167,13 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
         "unknown_algorithm", "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins",
         "negative_gamma", "zero_window", "zero_steps", "infinite_horizon", "reversed_range",
         "empty_range", "empty_milestones", "empty_checkpoints", "empty_batch_sizes",
+        "iid_zero_replications", "iid_zero_milestone", "iid_unordered_milestones",
         "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
-    cfg = write_config(tmp_path, N=50, milestones=[50])
+    if "model=null" in sets:
+        cfg = write_iid_config(tmp_path)
+    else:
+        cfg = write_config(tmp_path, N=50, milestones=[50])
     out = tmp_path / "o"
     if key is None:
         # an interrupted save leaves a truncated manifest: the run is redone
@@ -176,21 +191,13 @@ def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets,
 
 
 @pytest.mark.parametrize("sets, key", [
-    (["replications=0"], "replications"),
-    (["milestones=[0,100]"], "milestones"),
-    (["milestones=[100,10,50]"], "milestones"),
     (["N=5", "M=0"], "M"),
     (['initial={"kind": "point", "value": 1.0}'], "initial"),
     (["metric=mean_abs_err"], "metric"),
-], ids=["zero_replications", "zero_milestone", "unordered_milestones", "run_keys",
-        "initial", "metric"])
+], ids=["run_keys", "initial", "metric"])
 def test_rates_iid_config_mistakes(tmp_path, capsys, sets, key):
-    # rates with no model reads schedule, seed, replications and milestones only
-    cfg = tmp_path / "iid.json"
-    cfg.write_text(json.dumps({"model": None, "schedule": {"kind": "harmonic"}, "seed": 7,
-                               "replications": 5, "milestones": [128, 512, 2048]}))
     out = tmp_path / "o"
-    argv = ["rates", "--config", str(cfg), "--out", str(out)]
+    argv = ["rates", "--config", str(write_iid_config(tmp_path)), "--out", str(out)]
     assert dispatch(argv + [a for s in sets for a in ("--set", s)]) == 2
     assert f"[{key}]" in capsys.readouterr().err
     assert not out.exists()

@@ -59,21 +59,26 @@ class RateFit:
 
 
 def rate_fit(ns: Sequence[int], errs: Sequence[float]) -> RateFit:
-    """OLS fit on (ln n, ln err); requires >= 3 strictly positive points."""
-    from scipy.stats import linregress
-
+    """OLS fit on (ln n, ln err) of >= 3 strictly positive points at two or more
+    distinct n, by the arithmetic of scipy's linregress in its order (same bits)."""
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errs, dtype=float)
-    if ns.size < 3:
-        raise ValueError("need at least 3 points for a rate fit")
+    if ns.size < 3 or ns.min() == ns.max():
+        raise ValueError("need at least 3 points at two or more distinct n for a rate fit")
     if np.any(ns <= 0.0) or np.any(errs <= 0.0):
         raise ValueError("rate_fit needs strictly positive inputs")
-    res = linregress(np.log(ns), np.log(errs))
+    x, y = np.log(ns), np.log(errs)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
     return RateFit(
-        slope=float(res.slope),
-        intercept=float(res.intercept),
-        stderr=float(res.stderr),
-        r_squared=float(res.rvalue**2),
+        slope=float(slope),
+        intercept=float(y.mean() - slope * x.mean()),
+        stderr=float(np.sqrt((1 - r**2) * ssym / ssxm / (ns.size - 2))),
+        r_squared=float(r**2),
         ns=tuple(int(n) for n in ns),
         errs=tuple(float(e) for e in errs),
     )
@@ -207,16 +212,16 @@ def iid_convergence_study(
     Per replication, n i.i.d. standard draws are folded in with the schedule;
     the metric is W_2 (squared by default) to the reference law via
     quantile-grid integration on n_nodes levels.  quantile_fn is the reference
-    law's quantile function; None means the standard normal's (norm.ppf).
+    law's quantile function; None means the standard normal's (ndtri).
     ConfigError names key "milestones" or "replications" for a bad count.
     """
     milestones = check_milestones(milestones)
     if replications < 1:
         raise ConfigError("need replications >= 1", key="replications")
     if quantile_fn is None:
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        quantile_fn = norm.ppf
+        quantile_fn = ndtri
 
     n_max = max(milestones)
     samples = np.zeros((replications, len(milestones)))

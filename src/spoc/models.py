@@ -520,11 +520,11 @@ def curie_weiss_weak_interaction_check(beta: float, K: float) -> WeakInteraction
     1/K > beta * f'(0) = sqrt(2 pi beta e^beta) Phi(sqrt(beta)).
     """
     from scipy import integrate
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     if beta <= 0.0:
         raise AssumptionViolationError("beta must be > 0")
-    rhs_closed = math.sqrt(2.0 * math.pi * beta * math.exp(beta)) * float(norm.cdf(math.sqrt(beta)))
+    rhs_closed = math.sqrt(2.0 * math.pi * beta * math.exp(beta)) * float(ndtr(math.sqrt(beta)))
 
     def integrand(s):
         return s * np.exp(-beta * (s**4 / 32.0 - s**2 / 4.0))

@@ -446,7 +446,7 @@ class RunSnapshots(Mapping):
 
 
 def _chunk_reps(replications: int, workers: int):
-    chunks = np.array_split(np.arange(replications), max(1, min(workers, replications)))
+    chunks = np.array_split(np.arange(replications), min(workers, replications))
     return [c.tolist() for c in chunks]
 
 
@@ -845,8 +845,11 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1,
     Returns the result and the merged chunk outputs, which also hold the
     coupled gaps (gap_kn, gap_last) and the classical full-grid moments
     (mean_grid, second_grid).  When chunks blow up, the one raised is the
-    earliest in the driver's scan order, as with a single chunk.
+    earliest in the driver's scan order, as with a single chunk.  ConfigError
+    names key "workers" for workers < 1.
     """
+    if workers < 1:
+        raise ConfigError(f"need workers >= 1, got {workers}", key="workers")
     t0 = time.perf_counter()
     if algorithm == ALGO_CLASSICAL:
         run_chunk = partial(_classical_chunk, config)

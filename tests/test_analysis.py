@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
+from scipy.stats import linregress, norm
 
 from spoc import (
     DimensionMismatchError,
@@ -61,6 +64,37 @@ def test_rate_fit_input_validation():
         rate_fit([1, 2], [1.0, 0.5])
     with pytest.raises(ValueError):
         rate_fit([1, 2, 3], [1.0, -0.5, 0.2])
+    with pytest.raises(ValueError):
+        rate_fit([5, 5, 5], [1.0, 0.5, 0.2])
+
+
+def _assert_fit_is_linregress(ns, errs):
+    fit = rate_fit(ns, errs)
+    res = linregress(np.log(np.asarray(ns, dtype=float)), np.log(np.asarray(errs, dtype=float)))
+    got = np.array([fit.slope, fit.intercept, fit.stderr, fit.r_squared])
+    want = np.array([res.slope, res.intercept, res.stderr, res.rvalue**2])
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+_FITS = st.integers(3, 12).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(1, 10**7), min_size=k, max_size=k, unique=True),
+    st.lists(st.floats(1e-300, 1e300), min_size=k, max_size=k),
+))
+
+
+@given(_FITS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rate_fit_is_linregress_bit_for_bit(points):
+    _assert_fit_is_linregress(*points)
+
+
+@pytest.mark.parametrize("ns, errs", [
+    ([10, 100, 1000], [2.0, 2.0, 2.0]),
+    ([1, 2, 4, 8, 16], [16.0, 8.0, 4.0, 2.0, 1.0]),
+    ([3, 9, 27, 81], [0.5 / 3, 0.5 / 9, 0.5 / 27, 0.5 / 81]),
+], ids=["constant", "collinear", "collinear_inexact"])
+def test_rate_fit_is_linregress_on_degenerate_series(ns, errs):
+    _assert_fit_is_linregress(ns, errs)
 
 
 # -- iid studies ------------------------------------------------------------------
@@ -94,6 +128,9 @@ def test_iid_default_quantile_is_the_standard_normal():
     default, _ = iid_convergence_study(*args)
     explicit, _ = iid_convergence_study(*args, quantile_fn=norm.ppf)
     assert default.per_replication.tobytes() == explicit.per_replication.tobytes()
+    # the default is ndtri, the function that norm.ppf calls: equal on the 4096-node grid
+    u = (np.arange(4096) + 0.5) / 4096
+    assert ndtri(u).tobytes() == norm.ppf(u).tobytes()
 
 
 def test_iid_geometric_plateau():

@@ -159,6 +159,8 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("rates", ["model=null", "replications=0"], "replications"),
     ("rates", ["model=null", "milestones=[0,100]"], "milestones"),
     ("rates", ["model=null", "milestones=[100,10,50]"], "milestones"),
+    ("simulate", ["--workers 0"], "workers"),
+    ("simulate", ["--workers -3"], "workers"),
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
         "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
@@ -168,7 +170,7 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
         "negative_gamma", "zero_window", "zero_steps", "infinite_horizon", "reversed_range",
         "empty_range", "empty_milestones", "empty_checkpoints", "empty_batch_sizes",
         "iid_zero_replications", "iid_zero_milestone", "iid_unordered_milestones",
-        "truncated_manifest"])
+        "zero_workers", "negative_workers", "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     if "model=null" in sets:
         cfg = write_iid_config(tmp_path)
@@ -180,7 +182,9 @@ def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets,
         out.mkdir()
         (out / "manifest.json").write_text('{"schema": "spoc-run-v1", "comp')
     argv = [command, "--config", str(cfg), "--out", str(out)]
-    code = dispatch(argv + [a for s in sets for a in ("--set", s)])
+    # an entry that starts with "--" is a command-line option, any other a --set
+    code = dispatch(argv + [a for s in sets
+                            for a in (s.split() if s.startswith("--") else ("--set", s))])
     if key is None:
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["complete"] is True
@@ -231,8 +235,9 @@ def test_cli_imports_without_jsonschema():
 
 
 def test_cli_import_and_simulate_load_no_scipy(tmp_path):
-    # scipy is loaded only by the transport, rate-fit and theory functions, and
-    # the process pool only by runs with workers > 1
+    # scipy is loaded only by the exact transport solvers, the i.i.d. study's
+    # default quantile and the theory functions, and the process pool only by
+    # runs with workers > 1
     src = str(Path(spoc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     cfg, out = write_config(tmp_path, N=60, milestones=[60]), tmp_path / "o"
@@ -248,6 +253,43 @@ def test_cli_import_and_simulate_load_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (out / "manifest.json").exists()
+
+
+_R3 = dict(model={"name": "repulsive3d"}, initial={"kind": "point", "value": [1.0, 0.0, 0.0]})
+_CURIE = dict(model={"name": "curie_weiss"}, initial={"kind": "gaussian", "mean": 0.5, "std": 1.0})
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("rates", dict(metric="w2_to_reference")),
+    ("rates", dict(metric="w2_to_reference", **_R3)),
+    ("compare", _CURIE),
+    ("rates", None),
+], ids=["rates_exact_w2", "rates_sliced_w2", "compare", "rates_iid"])
+def test_study_commands_load_no_scipy_stats(tmp_path, command, overrides):
+    # the rate fit is numpy's, so studies with a model load no scipy, and the
+    # i.i.d. study loads only scipy.special for its default quantile
+    src = str(Path(spoc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    if overrides is None:
+        cfg = write_iid_config(tmp_path)
+    else:  # three milestones, so that the command fits a rate
+        cfg = write_config(tmp_path, N=60, milestones=[15, 30, 60], **overrides)
+    out = tmp_path / "o"
+    code = (
+        "import json, sys\n"
+        "import spoc.cli\n"
+        f"assert spoc.cli.dispatch([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "slope" in done.stdout
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    if overrides is None:
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.stats")], loaded
+    else:
+        assert loaded == [], loaded
 
 
 # curie_weiss from 60 blows up in the run, and under rates already in its

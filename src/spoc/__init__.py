@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidScheduleError,
     MeasureSizeError,
-    ModelEvaluationError,
     NumericsError,
     RunFormatError,
     SingularScheduleError,
@@ -24,7 +23,6 @@ from .schedules import (
     RecursiveBoundProbe,
     ScheduleDiagnostics,
     UpdateSchedule,
-    alpha_value,
     decay_product,
     recursive_bound_probe,
     schedule_diagnostics,
@@ -33,7 +31,6 @@ from .schedules import (
 )
 from .measures import (
     GroundCost,
-    MeasureAccumulator,
     SlicedReference,
     SummaryStats,
     WeightedEmpirical,
@@ -42,7 +39,6 @@ from .measures import (
     gaussian_w2_1d,
     moment,
     sliced_w2,
-    summary_stats,
     update,
     w2_quantile_grid,
     wasserstein_1d,
@@ -56,7 +52,6 @@ from .models import (
     build_f_from_kappa,
     builtin_model,
     curie_weiss_weak_interaction_check,
-    evaluate_model,
 )
 from .simulate import (
     CoupledRunResult,

@@ -22,15 +22,6 @@ class MeasureSizeError(SpocError, ValueError):
     """Exact transport instance exceeds the cost-entry cap; use sliced_w2 instead."""
 
 
-class ModelEvaluationError(SpocError, RuntimeError):
-    """Drift or diffusion evaluation produced a non-finite value."""
-
-    def __init__(self, message, t=None, x=None):
-        super().__init__(message)
-        self.t = t
-        self.x = x
-
-
 class BlowUpError(SpocError, RuntimeError):
     """Particle state left the finite / bounded region during simulation."""
 

@@ -79,16 +79,6 @@ class WeightedEmpirical:
             a = a.reshape(1, -1)
         return cls(atoms=a, weights=np.ones(1))
 
-    @classmethod
-    def from_points(cls, points, weights=None) -> "WeightedEmpirical":
-        a = _canonical_atoms(points)
-        if weights is None:
-            weights = np.full(a.shape[0], 1.0 / a.shape[0])
-        return cls(atoms=a, weights=weights)
-
-    def update(self, x, alpha: float) -> "WeightedEmpirical":
-        return update(self, x, alpha)
-
     # -- serialization -----------------------------------------------------
 
     def to_csv(self, path) -> None:
@@ -127,69 +117,10 @@ class SummaryStats:
             raise ValueError("raw_second_moment below |mean|^2 violates Cauchy-Schwarz")
 
 
-class MeasureAccumulator:
-    """Mutable running measure for long update streams.
-
-    Same semantics as iterating WeightedEmpirical.update; weights are pruned
-    every 64 updates and defensively renormalized every 1000 updates so
-    sum(weights) = 1 survives >= 1e6 steps.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._cap = 1024
-        self._atoms = np.empty((self._cap, dim))
-        self._w = np.empty(self._cap)
-        self._k = 0
-        self._count = 0
-        self.pruned_mass = 0.0
-
-    def _grow(self):
-        self._cap *= 2
-        atoms = np.empty((self._cap, self.dim))
-        w = np.empty(self._cap)
-        atoms[: self._k] = self._atoms[: self._k]
-        w[: self._k] = self._w[: self._k]
-        self._atoms, self._w = atoms, w
-
-    def update(self, x, alpha: float) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.dim:
-            raise DimensionMismatchError("point dimension mismatch")
-        self._count += 1
-        if alpha == 1.0:
-            self._k = 0
-        else:
-            self._w[: self._k] *= 1.0 - alpha
-        if self._k == self._cap:
-            self._grow()
-        self._atoms[self._k] = x
-        self._w[self._k] = alpha
-        self._k += 1
-        if self._count % 64 == 0:
-            keep = self._w[: self._k] > PRUNE_EPS
-            kept = int(keep.sum())
-            if kept < self._k:
-                self.pruned_mass += float(self._w[: self._k][~keep].sum())
-                self._atoms[:kept] = self._atoms[: self._k][keep]
-                self._w[:kept] = self._w[: self._k][keep]
-                self._k = kept
-        if self._count % 1000 == 0:
-            self._w[: self._k] /= self._w[: self._k].sum()
-
-    @property
-    def weight_sum(self) -> float:
-        return float(self._w[: self._k].sum())
-
-    def snapshot(self) -> WeightedEmpirical:
-        return WeightedEmpirical(self._atoms[: self._k].copy(), self._w[: self._k].copy())
-
-
 def update(mu: WeightedEmpirical, x, alpha: float) -> WeightedEmpirical:
     """mu + alpha*(delta_x - mu): scale existing weights by (1-alpha), append x
-    with weight alpha.  alpha = 1 returns exactly delta_x."""
+    with weight alpha.  alpha = 1 returns exactly delta_x.  This is the fold as
+    defined; runs take snapshot weights from schedules.measure_weights instead."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     xa = _canonical_atoms(x).reshape(1, -1)
@@ -237,14 +168,6 @@ def moment(mu: WeightedEmpirical, p: int):
         return float(m[0]) if mu.dim == 1 else m
     norms = np.sqrt(np.sum(mu.atoms**2, axis=1))
     return float(mu.weights @ norms**p)
-
-
-def summary_stats(mu: WeightedEmpirical) -> SummaryStats:
-    """Mean vector and raw second moment E|X|^2; moment(mu, p) gives E|X|^p."""
-    mean = mu.weights @ mu.atoms
-    norms = np.sqrt(np.sum(mu.atoms**2, axis=1))
-    second = float(mu.weights @ norms**2)
-    return SummaryStats(mean=mean, raw_second_moment=second)
 
 
 # -- distances --------------------------------------------------------------

@@ -23,10 +23,8 @@ from .errors import (
     AssumptionViolationError,
     ConfigError,
     DimensionMismatchError,
-    ModelEvaluationError,
     NumericsError,
 )
-from .measures import WeightedEmpirical, summary_stats
 
 INTERACTION_FULL = "full_measure"
 INTERACTION_MOMENT = "moment_only"
@@ -86,37 +84,6 @@ class ModelSpec:
         return builtin_model(d["name"], d.get("params"))
 
 
-def evaluate_model(model: ModelSpec, t: float, x, mu_view):
-    """Evaluate (drift, diffusion) with view coercion and finiteness checks.
-
-    Moment-only models given a full WeightedEmpirical view are evaluated on its
-    summary statistics (the two backends must agree); full-measure models
-    require an atom view.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.dim:
-        raise DimensionMismatchError(f"point dim {x.shape[-1]} != model dim {model.dim}")
-    if model.interaction_form == INTERACTION_MOMENT:
-        if isinstance(mu_view, WeightedEmpirical):
-            mu_view = summary_stats(mu_view)
-        if not hasattr(mu_view, "mean") or not hasattr(mu_view, "raw_second_moment"):
-            raise ValueError("moment-only models need a view with mean / raw_second_moment")
-    else:
-        if not hasattr(mu_view, "atoms") or not hasattr(mu_view, "weights"):
-            raise ValueError("full-measure models need an atom view")
-    b = np.asarray(model.drift(t, x, mu_view), dtype=float)
-    s = np.asarray(model.diffusion(t, x, mu_view), dtype=float)
-    if not np.all(np.isfinite(b)) or not np.all(np.isfinite(s)):
-        raise ModelEvaluationError(
-            f"non-finite drift/diffusion for model {model.name} at t={t}", t=t, x=x
-        )
-    if b.shape[-1] != model.dim:
-        raise ModelEvaluationError(
-            f"drift output dim {b.shape[-1]} != model dim {model.dim}", t=t, x=x
-        )
-    return b, s
-
-
 # -- builtin models ----------------------------------------------------------
 # Module-level evaluator functions keep ModelSpec picklable for worker processes.
 
@@ -171,7 +138,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
     defaults = dict(_BUILTIN_DEFAULTS[name])
     params = dict(params or {})
     if not set(params) <= set(defaults) or not all(
-            isinstance(v, numbers.Real) for v in params.values()):
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in params.values()):
         raise ConfigError(f"{name} takes numeric params {sorted(defaults)}, got {params}",
                           key="model.params")
     defaults.update(params)

@@ -91,9 +91,6 @@ class UpdateSchedule:
 
     # -- evaluation --------------------------------------------------------
 
-    def alpha(self, n: int) -> float:
-        return alpha_value(self, n)
-
     def alphas(self, N: int) -> np.ndarray:
         """alpha_1..alpha_N as a float array."""
         if N < 1:
@@ -160,13 +157,6 @@ class ScheduleDiagnostics:
     regime: str
     gamma: float
     window: int
-
-
-def alpha_value(schedule: UpdateSchedule, n: int) -> float:
-    """alpha_n, equal bit for bit to schedule.alphas(N)[n - 1] for every N >= n."""
-    if n < 1:
-        raise InvalidScheduleError("n must be a positive integer")
-    return float(schedule.alphas(n)[-1])
 
 
 def theta_sequence(schedule: UpdateSchedule, N: int) -> np.ndarray:

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BlowUpError, ConfigError, DimensionMismatchError, RunFormatError
+from .errors import (BlowUpError, ConfigError, DimensionMismatchError, InvalidScheduleError,
+                     RunFormatError)
 from .measures import SummaryStats, WeightedEmpirical
 from .models import (
     INTERACTION_FULL,
@@ -156,9 +157,9 @@ class InitialCondition:
 class SimConfig:
     """Full description of a particle run.
 
-    checkpoints are grid times to snapshot (default: terminal time only), and
-    checkpoint_indices their grid indices; milestones are particle counts at
-    which the running measure is recorded.
+    checkpoints are strictly increasing grid times to snapshot (default:
+    terminal time only), and checkpoint_indices their grid indices;
+    milestones are particle counts at which the running measure is recorded.
     """
 
     model: ModelSpec
@@ -226,14 +227,16 @@ class SimConfig:
             if not (0 <= j <= self.M) or abs(j * self.dt - c) > GRID_TOL * max(1.0, self.T):
                 raise ConfigError(f"checkpoint {c} is not a grid time", key="checkpoints")
             idx.append(j)
-        if len(set(idx)) != len(idx):
-            raise ConfigError("duplicate checkpoints", key="checkpoints")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ConfigError("checkpoints must be strictly increasing", key="checkpoints")
         object.__setattr__(self, "checkpoints", tuple(float(j * self.dt) for j in idx))
         object.__setattr__(self, "checkpoint_indices", tuple(idx))
         ms = self.milestones if self.milestones is not None else (self.N,)
         object.__setattr__(self, "milestones", check_milestones(ms, self.N))
-        # schedule must cover N particles
-        self.schedule.alphas(self.N)
+        try:
+            self.schedule.alphas(self.N)
+        except InvalidScheduleError as e:
+            raise ConfigError(f"schedule does not cover N = {self.N}: {e}", key="schedule") from e
 
     @property
     def dt(self) -> float:

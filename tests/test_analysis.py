@@ -238,7 +238,7 @@ def test_density_dirac_single_bin():
 
 def test_density_uniform_grid():
     xs = (np.arange(10000) + 0.5) / 10000
-    curve = density_histogram(WeightedEmpirical.from_points(xs), 20, range=(0.0, 1.0))
+    curve = density_histogram(WeightedEmpirical(xs, np.ones(xs.size)), 20, range=(0.0, 1.0))
     assert np.allclose(curve.density, 1.0, atol=0.05)
     # integrates to one
     assert float(np.sum(curve.density * np.diff(curve.edges))) == pytest.approx(1.0)
@@ -247,7 +247,7 @@ def test_density_uniform_grid():
 def test_density_gaussian_sample_sup_norm():
     rng = np.random.default_rng(40)
     xs = rng.normal(0.0, 2.0 / 3.0, size=10**5)
-    curve = density_histogram(WeightedEmpirical.from_points(xs), 40, range=(-2.0, 2.0))
+    curve = density_histogram(WeightedEmpirical(xs, np.ones(xs.size)), 40, range=(-2.0, 2.0))
     ref = norm.pdf(curve.centers, 0.0, 2.0 / 3.0)
     assert np.max(np.abs(curve.density - ref)) < 0.1
 

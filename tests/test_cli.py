@@ -161,6 +161,11 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("rates", ["model=null", "milestones=[100,10,50]"], "milestones"),
     ("simulate", ["--workers 0"], "workers"),
     ("simulate", ["--workers -3"], "workers"),
+    ("simulate", ['schedule={"kind": "geometric", "q": 0.5, "max_n": 20}'], "schedule"),
+    ("simulate", ['schedule={"kind": "explicit", "values": [1.0, 0.5], "max_n": 2}'],
+     "schedule"),
+    ("density", ["checkpoints=[1.0, 0.5]"], "checkpoints"),
+    ("simulate", ["model.name=curie_weiss", 'model.params={"beta": true}'], "model.params"),
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
         "power_law_without_r", "geometric_q_out_of_range", "unknown_schedule_kind",
@@ -170,7 +175,9 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
         "negative_gamma", "zero_window", "zero_steps", "infinite_horizon", "reversed_range",
         "empty_range", "empty_milestones", "empty_checkpoints", "empty_batch_sizes",
         "iid_zero_replications", "iid_zero_milestone", "iid_unordered_milestones",
-        "zero_workers", "negative_workers", "truncated_manifest"])
+        "zero_workers", "negative_workers", "geometric_shorter_than_n",
+        "explicit_shorter_than_n", "unordered_checkpoints", "boolean_param",
+        "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     if "model=null" in sets:
         cfg = write_iid_config(tmp_path)

@@ -5,7 +5,6 @@ from scipy.stats import norm
 from spoc import (
     DimensionMismatchError,
     GroundCost,
-    MeasureAccumulator,
     MeasureSizeError,
     SlicedReference,
     SummaryStats,
@@ -16,7 +15,6 @@ from spoc import (
     gaussian_w2_1d,
     moment,
     sliced_w2,
-    summary_stats,
     update,
     w2_quantile_grid,
     wasserstein_1d,
@@ -24,12 +22,18 @@ from spoc import (
     weight_sequence,
 )
 from spoc.measures import _coupling_cost, _sorted_cdfs
+from spoc.schedules import measure_weights
 
 RNG = np.random.default_rng(12345)
 
 
 def random_measure(n, dim=1, rng=RNG):
     return WeightedEmpirical(rng.standard_normal((n, dim)), rng.random(n) + 0.05)
+
+
+def uniform(points):
+    """Equal weights 1/k on the k points."""
+    return WeightedEmpirical(points, np.full(len(points), 1.0 / len(points)))
 
 
 # -- construction and update ---------------------------------------------------
@@ -73,17 +77,26 @@ def test_update_dimension_mismatch():
         update(WeightedEmpirical.dirac([0.0, 0.0]), 1.0, 0.5)
 
 
-def test_accumulator_mass_preserved_over_1e6_updates():
-    # defensive renormalization keeps sum(w) = 1 through a million updates
-    acc = MeasureAccumulator(dim=1)
-    alphas = np.concatenate([[1.0], np.full(10**6 - 1, 0.2)])
-    draws = np.random.default_rng(1).standard_normal(10**6)
-    for i in range(10**6):
-        acc.update(draws[i : i + 1], alphas[i])
-    assert abs(acc.weight_sum - 1.0) <= 1e-12
-    snap = acc.snapshot()
-    assert snap.n_atoms < 200  # pruning keeps the atom list bounded
-    assert acc.pruned_mass < 1e-9
+@pytest.mark.parametrize("sched", [
+    UpdateSchedule.harmonic(200),
+    UpdateSchedule.power_law(0.6, 200),
+    UpdateSchedule.geometric(0.7, 60),
+    UpdateSchedule.explicit([1.0, 1.0, 1.0] + list(np.linspace(0.5, 0.05, 40))),
+], ids=["harmonic", "power_law", "geometric", "unit_tail"])
+def test_update_fold_matches_measure_weights(sched):
+    # the fold of the paper's definition, one atom at a time, against the
+    # closed-form snapshot weights that the drivers use
+    N = sched.max_n
+    atoms = np.random.default_rng(N).standard_normal((N, 2))
+    alphas = sched.alphas(N)
+    weights = measure_weights(sched, N)
+    mu = WeightedEmpirical.dirac(atoms[0])
+    for k in range(1, N + 1):
+        if k > 1:
+            mu = update(mu, atoms[k - 1], alphas[k - 1])
+        snap = WeightedEmpirical(atoms[:k], weights(k))
+        assert np.array_equal(mu.atoms, snap.atoms), k
+        assert np.max(np.abs(mu.weights - snap.weights) / snap.weights) <= 1e-12, k
 
 
 # -- K_n ------------------------------------------------------------------------
@@ -134,7 +147,7 @@ def test_moment_matches_brute_force():
 
 def test_summary_stats_cauchy_schwarz():
     mu = random_measure(50, dim=2)
-    s = summary_stats(mu)
+    s = SummaryStats(mean=moment(mu, 1), raw_second_moment=moment(mu, 2))
     assert s.raw_second_moment >= float(s.mean @ s.mean) - 1e-12
     with pytest.raises(ValueError):
         SummaryStats(mean=np.array([2.0]), raw_second_moment=1.0)
@@ -159,15 +172,15 @@ def test_w2_two_point_brute_force():
 def test_w2_gaussian_samples_approach_closed_form():
     rng = np.random.default_rng(42)
     n = 10**4
-    mu = WeightedEmpirical.from_points(rng.standard_normal(n))
-    nu = WeightedEmpirical.from_points(rng.standard_normal(n) + 1.0)
+    mu = uniform(rng.standard_normal(n))
+    nu = uniform(rng.standard_normal(n) + 1.0)
     assert abs(wasserstein_1d(mu, nu, 2) - gaussian_w2_1d(0, 1, 1, 1)) < 0.05
 
 
 def test_w2_unequal_weights_vs_resampled_uniform():
     # a weighted measure equals its atom-duplicated uniform version
     mu = WeightedEmpirical([0.0, 1.0], [0.25, 0.75])
-    mu_dup = WeightedEmpirical.from_points([0.0, 1.0, 1.0, 1.0])
+    mu_dup = uniform([0.0, 1.0, 1.0, 1.0])
     nu = random_measure(7)
     assert wasserstein_1d(mu, nu, 2) == pytest.approx(wasserstein_1d(mu_dup, nu, 2), rel=1e-12)
 
@@ -271,8 +284,8 @@ def test_sliced_translation_scaling():
     rng = np.random.default_rng(21)
     pts = rng.standard_normal((40, 3))
     t = np.array([1.0, -2.0, 0.5])
-    mu = WeightedEmpirical.from_points(pts)
-    nu = WeightedEmpirical.from_points(pts + t)
+    mu = uniform(pts)
+    nu = uniform(pts + t)
     est = sliced_w2(mu, nu, 2000, seed=99) ** 2
     target = float(t @ t) / 3.0
     # Monte-Carlo oracle over fresh directions
@@ -293,8 +306,8 @@ def test_sliced_reference_equals_plain_call():
     # equal (harmonic) weights, 600 against 6000 atoms: some cumulative levels
     # of the two sides coincide and are merged into one cut level
     rng = np.random.default_rng(31)
-    mu = WeightedEmpirical.from_points(rng.standard_normal((600, 3)))
-    nu = WeightedEmpirical.from_points(1.2 * rng.standard_normal((6000, 3)))
+    mu = uniform(rng.standard_normal((600, 3)))
+    nu = uniform(1.2 * rng.standard_normal((6000, 3)))
     for seed in (3, 4):
         ref = SlicedReference(nu, 64, seed)
         assert sliced_w2(mu, ref, 64, seed) == sliced_w2(mu, nu, 64, seed)
@@ -387,7 +400,7 @@ def test_quantile_grid_dirac_vs_gaussian():
 def test_quantile_grid_matches_w1d_on_atoms():
     # against a discrete quantile function the estimator ~ exact atom distance
     mu = random_measure(64)
-    nu = WeightedEmpirical.from_points(np.random.default_rng(31).standard_normal(512))
+    nu = uniform(np.random.default_rng(31).standard_normal(512))
     order = np.argsort(nu.atoms[:, 0])
     xs, cw = nu.atoms[order, 0], np.cumsum(nu.weights[order])
 

@@ -7,14 +7,10 @@ from scipy.stats import norm
 from spoc import (
     AssumptionViolationError,
     KappaProfile,
-    ModelEvaluationError,
     SummaryStats,
-    WeightedEmpirical,
     build_f_from_kappa,
     builtin_model,
     curie_weiss_weak_interaction_check,
-    evaluate_model,
-    summary_stats,
 )
 from spoc.models import INTERACTION_MOMENT, NOISE_MEASURE_DEPENDENT, NOISE_MEASURE_FREE
 
@@ -25,7 +21,8 @@ from spoc.models import INTERACTION_MOMENT, NOISE_MEASURE_DEPENDENT, NOISE_MEASU
 def test_ou_evaluation_example():
     m = builtin_model("mean_field_ou")
     view = SummaryStats(mean=np.array([1.0]), raw_second_moment=1.0)
-    b, s = evaluate_model(m, 0.0, np.array([1.0]), view)
+    x = np.array([1.0])
+    b, s = m.drift(0.0, x, view), m.diffusion(0.0, x, view)
     assert b[0] == -3.0
     assert float(s) == 1.0
     assert m.interaction_form == INTERACTION_MOMENT
@@ -36,7 +33,8 @@ def test_ou_evaluation_example():
 def test_curie_weiss_zero_at_origin():
     m = builtin_model("curie_weiss", {"beta": 1.0, "K": 0.5, "sigma": 1.3})
     view = SummaryStats(mean=np.array([0.0]), raw_second_moment=0.0)
-    b, s = evaluate_model(m, 0.0, np.array([0.0]), view)
+    x = np.array([0.0])
+    b, s = m.drift(0.0, x, view), m.diffusion(0.0, x, view)
     assert b[0] == 0.0
     assert float(s) == 1.3
     assert m.noise_form == NOISE_MEASURE_FREE
@@ -45,7 +43,7 @@ def test_curie_weiss_zero_at_origin():
 def test_curie_weiss_drift_formula():
     m = builtin_model("curie_weiss", {"beta": 2.0, "K": -0.5, "sigma": 1.0})
     view = SummaryStats(mean=np.array([0.3]), raw_second_moment=1.0)
-    b, _ = evaluate_model(m, 0.0, np.array([1.5]), view)
+    b = m.drift(0.0, np.array([1.5]), view)
     assert b[0] == pytest.approx(-2.0 * (1.5**3 - 1.5) + 2.0 * (-0.5) * 0.3, rel=1e-14)
 
 
@@ -53,7 +51,7 @@ def test_repulsive3d_at_mean_is_damping_only():
     m = builtin_model("repulsive3d")
     x = np.array([0.4, -0.2, 1.0])
     view = SummaryStats(mean=x.copy(), raw_second_moment=float(x @ x))
-    b, s = evaluate_model(m, 0.0, x, view)
+    b, s = m.drift(0.0, x, view), m.diffusion(0.0, x, view)
     assert np.allclose(b, -0.1 * x, atol=0)
     assert float(s) == 1.0
 
@@ -63,12 +61,12 @@ def test_repulsive3d_force_direction_and_magnitude():
     mean = np.zeros(3)
     x = np.array([2.0, 0.0, 0.0])
     view = SummaryStats(mean=mean, raw_second_moment=0.0)
-    b, _ = evaluate_model(m, 0.0, x, view)
+    b = m.drift(0.0, x, view)
     force = b + 0.1 * x
     assert np.allclose(force, [1.0 / (0.1 + 4.0), 0.0, 0.0], rtol=1e-14)
     # continuity toward the singular point: force magnitude stays bounded
     xs = np.array([[1e-3, 0, 0], [1e-6, 0, 0], [1e-9, 0, 0]])
-    bs, _ = evaluate_model(m, 0.0, xs, view)
+    bs = m.drift(0.0, xs, view)
     mags = np.linalg.norm(bs + 0.1 * xs, axis=1)
     assert np.all(mags <= 1.0 / 0.1 + 1e-9)
 
@@ -82,28 +80,8 @@ def test_builtin_param_validation():
         builtin_model("curie_weiss", {"sigma": -1.0})
     with pytest.raises(ValueError):
         builtin_model("mean_field_ou", {"beta": 1.0})
-
-
-def test_moment_view_full_measure_consistency():
-    # moment-only builtins must agree between atom views and summary views
-    rng = np.random.default_rng(8)
-    for name in ("mean_field_ou", "curie_weiss"):
-        m = builtin_model(name)
-        mu = WeightedEmpirical(rng.standard_normal(30), rng.random(30) + 0.1)
-        x = rng.standard_normal((4, 1))
-        b1, s1 = evaluate_model(m, 0.3, x, mu)
-        b2, s2 = evaluate_model(m, 0.3, x, summary_stats(mu))
-        assert np.allclose(b1, b2, atol=1e-12)
-        assert np.allclose(s1, s2, atol=1e-12)
-
-
-def test_evaluate_rejects_nonfinite_and_bad_views():
-    m = builtin_model("mean_field_ou")
-    bad = SummaryStats(mean=np.array([np.inf]), raw_second_moment=np.inf)
-    with pytest.raises(ModelEvaluationError):
-        evaluate_model(m, 0.0, np.array([1.0]), bad)
     with pytest.raises(ValueError):
-        evaluate_model(m, 0.0, np.array([1.0]), object())
+        builtin_model("curie_weiss", {"beta": True, "K": False})  # a bool is no number
 
 
 def test_builtin_drift_lipschitz_diagnostic():
@@ -114,8 +92,8 @@ def test_builtin_drift_lipschitz_diagnostic():
         view = SummaryStats(mean=np.array([0.2]), raw_second_moment=1.0)
         x = rng.uniform(-box_l, box_l, size=(200, 1))
         y = x + rng.uniform(-0.1, 0.1, size=(200, 1))
-        bx, _ = evaluate_model(m, 0.0, x, view)
-        by, _ = evaluate_model(m, 0.0, y, view)
+        bx = m.drift(0.0, x, view)
+        by = m.drift(0.0, y, view)
         ratio = np.abs(bx - by) / np.maximum(np.abs(x - y), 1e-12)
         assert np.max(ratio) < 50.0
 

@@ -8,7 +8,6 @@ from spoc import (
     NumericsError,
     SingularScheduleError,
     UpdateSchedule,
-    alpha_value,
     decay_product,
     recursive_bound_probe,
     schedule_diagnostics,
@@ -18,20 +17,20 @@ from spoc import (
 from spoc.schedules import REGIME_ALPHA_GAMMA, REGIME_PRODUCT_FAST, measure_weights
 
 
-# -- construction and alpha_value --------------------------------------------
+# -- construction and alphas -------------------------------------------------
 
 
 def test_alpha_closed_forms():
-    assert alpha_value(UpdateSchedule.harmonic(100), 4) == 0.25
-    assert alpha_value(UpdateSchedule.power_law(0.5, 100), 9) == pytest.approx(1 / 3, abs=1e-15)
-    assert alpha_value(UpdateSchedule.geometric(0.5, 100), 3) == 0.25
-    assert alpha_value(UpdateSchedule.explicit([1.0, 0.5, 0.5]), 3) == 0.5
+    assert UpdateSchedule.harmonic(100).alphas(4)[-1] == 0.25
+    assert UpdateSchedule.power_law(0.5, 100).alphas(9)[-1] == pytest.approx(1 / 3, abs=1e-15)
+    assert UpdateSchedule.geometric(0.5, 100).alphas(3)[-1] == 0.25
+    assert UpdateSchedule.explicit([1.0, 0.5, 0.5]).alphas(3)[-1] == 0.5
 
 
 def test_alpha_one_is_exact():
     for s in (UpdateSchedule.harmonic(10), UpdateSchedule.power_law(0.3, 10),
               UpdateSchedule.geometric(0.9, 10), UpdateSchedule.explicit([1.0, 0.25])):
-        assert alpha_value(s, 1) == 1.0
+        assert s.alphas(1)[0] == 1.0
 
 
 @pytest.mark.parametrize("sched", [
@@ -41,8 +40,11 @@ def test_alpha_one_is_exact():
     UpdateSchedule.explicit(np.linspace(1.0, 0.01, 500) ** 1.7),
 ], ids=["harmonic", "power_law", "geometric", "explicit"])
 def test_alpha_matches_alphas_bit_for_bit(sched):
+    # the anytime contract: alphas(n) is the n-prefix of alphas(N), so alpha_n
+    # does not depend on how many rates follow it
     N = sched.max_n
-    assert np.array_equal([sched.alpha(n) for n in range(1, N + 1)], sched.alphas(N))
+    full = sched.alphas(N)
+    assert all(np.array_equal(sched.alphas(n), full[:n]) for n in range(1, N + 1))
 
 
 def test_power_law_rounding_to_one_is_a_unit_tail():
@@ -55,9 +57,9 @@ def test_power_law_rounding_to_one_is_a_unit_tail():
 def test_alpha_domain_errors():
     s = UpdateSchedule.explicit([1.0, 0.5])
     with pytest.raises(InvalidScheduleError):
-        alpha_value(s, 0)
+        s.alphas(0)
     with pytest.raises(InvalidScheduleError):
-        alpha_value(s, 3)
+        s.alphas(3)
 
 
 def test_explicit_validation_rejections():

@@ -16,11 +16,11 @@ from spoc import (
     classical_poc_run,
     coupled_spoc_run,
     load_run,
+    moment,
     reference_run,
     save_run,
     spoc_run,
 )
-from spoc.measures import summary_stats
 from spoc.rng import BlockStream, block_width, replication_stream
 from spoc.simulate import MomentView, _em_step, _versions, load_paths
 
@@ -231,9 +231,8 @@ def test_backends_agree_exactly_for_moment_models():
     # snapshot summary equals the atom snapshot's statistics
     snap = fa.snapshots[(0, 400, 30)]
     summ = so.snapshots[(0, 400, 30)]
-    stats = summary_stats(snap)
-    assert np.allclose(stats.mean, summ.mean, atol=1e-10)
-    assert abs(stats.raw_second_moment - summ.raw_second_moment) < 1e-10
+    assert np.allclose(moment(snap, 1), summ.mean, atol=1e-10)
+    assert abs(moment(snap, 2) - summ.raw_second_moment) < 1e-10
 
 
 # -- batch runs -----------------------------------------------------------------------

@@ -55,9 +55,8 @@ def run_battery() -> list[CheckResult]:
 
     # weight reconstruction alpha_n = w_n / sum_{i<=n} w_i
     worst = 0.0
-    for s in (UpdateSchedule.harmonic(3000), UpdateSchedule.power_law(0.5, 3000),
-              UpdateSchedule.geometric(0.7, 120)):
-        n = min(1500, s.max_n)
+    for s, n in ((UpdateSchedule.harmonic(), 1500), (UpdateSchedule.power_law(0.5), 1500),
+                 (UpdateSchedule.geometric(0.7), 120)):
         w = weight_sequence(s, n)
         alpha_rec = w / np.cumsum(w)
         worst = max(worst, float(np.max(np.abs(alpha_rec - s.alphas(n)) / s.alphas(n))))

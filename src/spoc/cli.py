@@ -3,7 +3,9 @@
 One table, _CONFIG_TYPES, gives the JSON type of every config key; it types
 the dotted --set overrides and then checks the whole config (unknown keys and
 wrong types are rejected).  Exit codes: 0 success, 2 config error (with a
-line/key diagnostic), 3 numeric blow-up (with particle/step context).
+line/key diagnostic; a schedule that cannot serve the N a command asks for
+is reported under key "schedule"), 3 numeric blow-up (with particle/step
+context).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .analysis import (
     iid_convergence_study,
 )
 from .battery import run_battery
-from .errors import BlowUpError, ConfigError, SpocError
+from .errors import BlowUpError, ConfigError, InvalidScheduleError, SpocError
 from .schedules import SCHEDULE_KINDS, UpdateSchedule, schedule_diagnostics, theta_sequence
 from .simulate import (
     ALGO_BATCH,
@@ -35,7 +37,6 @@ from .simulate import (
     RUN_SCHEMA,
     SimConfig,
     batch_spoc_run,
-    check_milestones,
     classical_poc_run,
     reference_run,
     save_run,
@@ -258,12 +259,9 @@ def _cmd_rates(cfg: dict, args) -> int:
         if unread:
             raise ConfigError(f"rates with no model reads no {unread[0]!r}", key=unread[0])
         _require(cfg, ["schedule", "seed"])
-        milestones = check_milestones(milestones)  # before max_n is taken from them
-        schedule = UpdateSchedule.from_dict({"max_n": max(milestones), **cfg["schedule"]})
         seed = args.seed if args.seed is not None else cfg["seed"]
-        table, fit = iid_convergence_study(
-            schedule, milestones, int(cfg.get("replications", 20)), int(seed)
-        )
+        table, fit = iid_convergence_study(UpdateSchedule.from_dict(cfg["schedule"]), milestones,
+                                           int(cfg.get("replications", 20)), int(seed))
     else:
         config = _build_sim_config(cfg, args)
         table, fit = convergence_study(
@@ -390,8 +388,9 @@ def dispatch(argv=None) -> int:
             _apply_override(cfg, assignment)
         _check(cfg, _CONFIG_TYPES, "")
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        where = f" [{exc.key}]" if exc.key else ""
+    except (ConfigError, InvalidScheduleError) as exc:
+        key = exc.key if isinstance(exc, ConfigError) else "schedule"
+        where = f" [{key}]" if key else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:

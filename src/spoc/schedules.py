@@ -29,8 +29,10 @@ REGIME_PRODUCT_FAST = "rate_product_fast"
 class UpdateSchedule:
     """Immutable description of an update-rate sequence.
 
-    Use the classmethod constructors; they validate alpha_1 = 1, positivity and
-    monotonicity up to ``max_n`` and reject anything else.
+    Use the classmethod constructors; they validate the kind's parameters
+    (alpha_1 = 1, positivity and monotonicity of explicit values).  alphas(N)
+    alone decides whether the schedule serves N particles; max_n is only the
+    horizon that the schedule diagnostics read.
     """
 
     kind: str
@@ -50,16 +52,10 @@ class UpdateSchedule:
         elif self.kind == "geometric":
             if self.q is None or not (0.0 < self.q < 1.0):
                 raise InvalidScheduleError("geometric requires q in (0, 1)")
-            if self.q ** (self.max_n - 1) <= 0.0:
-                raise InvalidScheduleError(
-                    "geometric schedule underflows to zero before max_n; reduce max_n"
-                )
         elif self.kind == "explicit":
             if self.values is None or len(self.values) == 0:
                 raise InvalidScheduleError("explicit schedule needs at least one value")
             v = np.asarray(self.values, dtype=float)
-            if self.max_n > len(v):
-                raise InvalidScheduleError("max_n exceeds the explicit sequence length")
             if v[0] != 1.0:
                 raise InvalidScheduleError("alpha_1 must equal 1 exactly")
             if np.any(v <= 0.0):
@@ -81,7 +77,7 @@ class UpdateSchedule:
 
     @classmethod
     def geometric(cls, q: float, max_n: int = 1000) -> "UpdateSchedule":
-        """alpha_n = q^{n-1} with q in (0, 1).  max_n is capped by float underflow."""
+        """alpha_n = q^{n-1} with q in (0, 1), for n up to float underflow."""
         return cls(kind="geometric", max_n=max_n, q=float(q))
 
     @classmethod
@@ -92,7 +88,9 @@ class UpdateSchedule:
     # -- evaluation --------------------------------------------------------
 
     def alphas(self, N: int) -> np.ndarray:
-        """alpha_1..alpha_N as a float array."""
+        """alpha_1..alpha_N as a float array.  InvalidScheduleError when the
+        schedule cannot serve N: a geometric alpha_N underflows to 0, or N
+        exceeds an explicit sequence's length."""
         if N < 1:
             raise InvalidScheduleError("N must be >= 1")
         if self.kind == "harmonic":
@@ -100,11 +98,13 @@ class UpdateSchedule:
         if self.kind == "power_law":
             return np.arange(1, N + 1, dtype=float) ** (-self.r)
         if self.kind == "geometric":
-            if N > self.max_n:
-                raise InvalidScheduleError("N exceeds max_n for geometric schedule")
-            return self.q ** np.arange(N, dtype=float)
+            a = self.q ** np.arange(N, dtype=float)
+            if a[-1] == 0.0:
+                raise InvalidScheduleError(f"geometric q = {self.q} underflows to 0 before N = {N}")
+            return a
         if N > len(self.values):
-            raise InvalidScheduleError("N exceeds the explicit sequence length")
+            raise InvalidScheduleError(
+                f"N = {N} exceeds the explicit sequence length {len(self.values)}")
         return np.asarray(self.values[:N], dtype=float)
 
     def has_unit_tail(self, N: int | None = None) -> bool:
@@ -126,24 +126,17 @@ class UpdateSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UpdateSchedule":
-        """Inverse of to_dict; a missing or invalid value raises ConfigError."""
+        """Inverse of to_dict; an absent max_n takes the constructor's default.
+        A missing parameter or unknown kind raises ConfigError."""
         kind = d.get("kind")
-        max_n = d.get("max_n")
         needs = {"power_law": "r", "geometric": "q", "explicit": "values"}.get(kind)
         if needs is not None and d.get(needs) is None:
             raise ConfigError(f"a {kind} schedule needs {needs!r}", key=f"schedule.{needs}")
-        try:
-            if kind == "harmonic":
-                return cls.harmonic(max_n or 10**6)
-            if kind == "power_law":
-                return cls.power_law(d["r"], max_n or 10**6)
-            if kind == "geometric":
-                return cls.geometric(d["q"], max_n or 1000)
-            if kind == "explicit":
-                return cls.explicit(d["values"], max_n)
-        except InvalidScheduleError as e:
-            raise ConfigError(str(e), key="schedule") from e
-        raise ConfigError(f"unknown schedule kind {kind!r}", key="schedule.kind")
+        if kind not in SCHEDULE_KINDS:
+            raise ConfigError(f"unknown schedule kind {kind!r}", key="schedule.kind")
+        params = () if needs is None else (d[needs],)
+        horizon = {} if d.get("max_n") is None else {"max_n": d["max_n"]}
+        return getattr(cls, kind)(*params, **horizon)
 
 
 @dataclass(frozen=True)

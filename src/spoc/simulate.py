@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (BlowUpError, ConfigError, DimensionMismatchError, InvalidScheduleError,
-                     RunFormatError)
+from .errors import BlowUpError, ConfigError, DimensionMismatchError, RunFormatError
 from .measures import SummaryStats, WeightedEmpirical
 from .models import (
     INTERACTION_FULL,
@@ -233,10 +232,6 @@ class SimConfig:
         object.__setattr__(self, "checkpoint_indices", tuple(idx))
         ms = self.milestones if self.milestones is not None else (self.N,)
         object.__setattr__(self, "milestones", check_milestones(ms, self.N))
-        try:
-            self.schedule.alphas(self.N)
-        except InvalidScheduleError as e:
-            raise ConfigError(f"schedule does not cover N = {self.N}: {e}", key="schedule") from e
 
     @property
     def dt(self) -> float:
@@ -264,15 +259,15 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """Inverse of to_dict; a schedule without max_n covers N particles.  An
-        absent or null list takes its default; an empty one is rejected."""
+        """Inverse of to_dict.  An absent or null list takes its default; an
+        empty one is rejected."""
 
         def listed(key):
             return None if d.get(key) is None else tuple(d[key])
 
         return cls(
             model=ModelSpec.from_dict(d["model"]),
-            schedule=UpdateSchedule.from_dict({"max_n": max(int(d["N"]), 1), **d["schedule"]}),
+            schedule=UpdateSchedule.from_dict(d["schedule"]),
             initial=InitialCondition.from_dict(d["initial"]),
             T=float(d["T"]),
             M=int(d["M"]),
@@ -849,10 +844,14 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1,
     coupled gaps (gap_kn, gap_last) and the classical full-grid moments
     (mean_grid, second_grid).  When chunks blow up, the one raised is the
     earliest in the driver's scan order, as with a single chunk.  ConfigError
-    names key "workers" for workers < 1.
+    names key "workers" for workers < 1; sequential and batch runs, which read
+    the rates, raise InvalidScheduleError before any chunk when the schedule
+    cannot serve N particles.
     """
     if workers < 1:
         raise ConfigError(f"need workers >= 1, got {workers}", key="workers")
+    if algorithm != ALGO_CLASSICAL:
+        config.schedule.alphas(config.N)
     t0 = time.perf_counter()
     if algorithm == ALGO_CLASSICAL:
         run_chunk = partial(_classical_chunk, config)

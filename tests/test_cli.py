@@ -161,9 +161,15 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("rates", ["model=null", "milestones=[100,10,50]"], "milestones"),
     ("simulate", ["--workers 0"], "workers"),
     ("simulate", ["--workers -3"], "workers"),
-    ("simulate", ['schedule={"kind": "geometric", "q": 0.5, "max_n": 20}'], "schedule"),
+    ("simulate", ['schedule={"kind": "geometric", "q": 1e-10}'], "schedule"),
     ("simulate", ['schedule={"kind": "explicit", "values": [1.0, 0.5], "max_n": 2}'],
      "schedule"),
+    ("rates", ['schedule={"kind": "geometric", "q": 1e-10}'], "schedule"),
+    ("compare", ['schedule={"kind": "geometric", "q": 1e-10}'], "schedule"),
+    ("density", ['schedule={"kind": "geometric", "q": 1e-10}'], "schedule"),
+    ("rates", ["model=null", 'schedule={"kind": "geometric", "q": 1e-10, "max_n": 20}'],
+     "schedule"),
+    ("schedule-diag", ['schedule={"kind": "geometric", "q": 0.4}', "gamma=0.5"], "schedule"),
     ("density", ["checkpoints=[1.0, 0.5]"], "checkpoints"),
     ("simulate", ["model.name=curie_weiss", 'model.params={"beta": true}'], "model.params"),
     ("simulate", [], None),
@@ -176,7 +182,10 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
         "empty_range", "empty_milestones", "empty_checkpoints", "empty_batch_sizes",
         "iid_zero_replications", "iid_zero_milestone", "iid_unordered_milestones",
         "zero_workers", "negative_workers", "geometric_shorter_than_n",
-        "explicit_shorter_than_n", "unordered_checkpoints", "boolean_param",
+        "explicit_shorter_than_n", "rates_geometric_shorter_than_n",
+        "compare_geometric_shorter_than_n", "density_geometric_shorter_than_n",
+        "iid_geometric_shorter_than_milestone", "diag_geometric_shorter_than_max_n",
+        "unordered_checkpoints", "boolean_param",
         "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     if "model=null" in sets:
@@ -223,8 +232,12 @@ def test_rates_iid_config_mistakes(tmp_path, capsys, sets, key):
     ({"initial": {"kind": "gaussian", "mean": [0, 1, 2], "std": 1}},
      ["model.name=repulsive3d", "initial.mean=1.5"],
      {"initial": {"kind": "gaussian", "mean": [1.5], "std": 1.0}}),
+    # a schedule keeps the max_n it is given, and otherwise takes its kind's default
+    ({}, ['schedule={"kind": "geometric", "q": 0.5, "max_n": 20}'],
+     {"schedule": {"kind": "geometric", "max_n": 20, "q": 0.5}}),
+    ({}, ['schedule={"kind": "harmonic"}'], {"schedule": {"kind": "harmonic", "max_n": 1000000}}),
 ], ids=["integer_valued_floats", "store_paths_1", "number_spellings", "point_vector",
-        "gaussian_scalar_mean"])
+        "gaussian_scalar_mean", "geometric_max_n_below_n", "default_max_n"])
 def test_config_spellings(tmp_path, overrides, sets, expected):
     cfg = write_config(tmp_path, **{"N": 60, "milestones": [60], **overrides})
     out = tmp_path / "o"
@@ -297,6 +310,20 @@ def test_study_commands_load_no_scipy_stats(tmp_path, command, overrides):
         assert not [m for m in loaded if m.startswith("scipy.stats")], loaded
     else:
         assert loaded == [], loaded
+
+
+@pytest.mark.parametrize("schedule", [
+    {"kind": "geometric", "q": 0.99},
+    {"kind": "explicit", "values": [1.0 / n for n in range(1, 61)]},
+], ids=["geometric", "explicit"])
+@pytest.mark.parametrize("command", ["rates", "compare"])
+def test_studies_with_a_surrogate_reference_take_any_schedule(tmp_path, capsys, command,
+                                                               schedule):
+    # the classical surrogate reference runs 10 N particles but reads no rate
+    cfg = write_config(tmp_path, N=60, M=10, milestones=[15, 30, 60], schedule=schedule,
+                       metric="mean_abs_err", **_CURIE)
+    assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "slope" in capsys.readouterr().out
 
 
 # curie_weiss from 60 blows up in the run, and under rates already in its

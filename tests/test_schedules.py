@@ -74,7 +74,22 @@ def test_explicit_validation_rejections():
     with pytest.raises(InvalidScheduleError):
         UpdateSchedule.geometric(1.0)
     with pytest.raises(InvalidScheduleError):
-        UpdateSchedule.geometric(0.5, max_n=5000)  # underflows to 0
+        UpdateSchedule.geometric(0.5).alphas(5000)  # underflows to 0
+
+
+def test_alphas_alone_decides_coverage():
+    # max_n is the diagnostics' horizon: it neither limits nor extends alphas(N)
+    geo = UpdateSchedule.from_dict({"kind": "geometric", "q": 0.4})
+    assert geo.max_n == 1000
+    assert np.array_equal(geo.alphas(500), 0.4 ** np.arange(500.0))
+    with pytest.raises(InvalidScheduleError, match="underflows"):
+        geo.alphas(1000)  # 0.4^999 is 0 in float64
+    short = UpdateSchedule.geometric(0.9, max_n=20)
+    assert np.array_equal(short.alphas(50), UpdateSchedule.geometric(0.9).alphas(50))
+    explicit = UpdateSchedule.explicit([1.0, 0.5, 0.25], max_n=2)
+    assert np.array_equal(explicit.alphas(3), [1.0, 0.5, 0.25])
+    with pytest.raises(InvalidScheduleError, match="length"):
+        UpdateSchedule.explicit([1.0, 0.5], max_n=5).alphas(3)
 
 
 def test_schedule_dict_round_trip():

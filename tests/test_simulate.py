@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from spoc import (
     BlowUpError,
     ConfigError,
     InitialCondition,
+    InvalidScheduleError,
     ModelSpec,
     RunFormatError,
     SimConfig,
@@ -104,6 +106,16 @@ def test_config_validation():
             T=1.0, M=10, N=10, seed=1,
             measure_backend="summary_only",
         )
+
+
+def test_only_runs_that_read_rates_check_the_schedule():
+    cfg = ou_config(N=60, milestones=(60,), schedule=UpdateSchedule.explicit([1.0, 0.5]))
+    classical_poc_run(cfg)
+    reference_run(cfg.model, cfg)
+    for run, c in ((spoc_run, cfg), (coupled_spoc_run, cfg),
+                   (batch_spoc_run, replace(cfg, batch_sizes=(30, 30)))):
+        with pytest.raises(InvalidScheduleError, match="N = 60"):
+            run(c)
 
 
 def test_config_dict_round_trip():
@@ -708,6 +720,26 @@ def test_save_run_removes_files_the_run_does_not_have(tmp_path):
     assert back.paths is None and back.snapshots.atoms_cp is None
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.json",
                                                                       "summary.csv"]
+
+
+def test_load_run_reads_a_schedule_horizon_of_n(tmp_path):
+    # a new manifest carries the kind's default max_n; one written before
+    # runs stopped setting it carries max_n = N, and both load to the same run
+    cfg = SimConfig.from_dict({**ou_config(N=60, milestones=(20, 60)).to_dict(),
+                               "schedule": {"kind": "geometric", "q": 0.99}})
+    res = spoc_run(cfg)
+    save_run(res, tmp_path / "run")
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["config"]["schedule"] == {"kind": "geometric", "max_n": 1000, "q": 0.99}
+    manifest["config"]["schedule"]["max_n"] = 60
+    path.write_text(json.dumps(manifest))
+    back = load_run(tmp_path / "run")
+    assert back.config.schedule.max_n == 60
+    assert np.array_equal(back.mean_traj, res.mean_traj)
+    for k, snap in res.snapshots.items():
+        assert np.array_equal(back.snapshots[k].atoms, snap.atoms)
+        assert np.array_equal(back.snapshots[k].weights, snap.weights)
 
 
 def test_load_run_rejects_other_schema(tmp_path):

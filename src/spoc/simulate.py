@@ -701,7 +701,6 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         z0, dw, db = split_blocks(blocks, dim, M, init.needs_noise, dual, dt)
         x0 = init.from_block(z0, dim)  # (Rc, size, dim)
         if k == 0:  # the first batch stays at its initial value
-            bpath = np.broadcast_to(x0.mean(axis=1)[None], (M + 1, Rc, dim)).copy()
             xs_full = np.broadcast_to(x0[None], (M + 1, Rc, size, dim))
         else:
             xs_full = np.empty((M + 1, Rc, size, dim))
@@ -731,10 +730,10 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
                     xs_full[m] = x
             n_steps += M * size * Rc
             _check_finite_path(xs_full, 0, starts[k] + 1, rep_ids)
-            bpath = xs_full.mean(axis=2)  # batch empirical average per grid time
 
-        _recursive_update(mean, bpath, alpha)
-        _recursive_update(second, np.sum(bpath**2, axis=2), alpha)
+        # the batch's empirical mean and raw second moment per grid time
+        _recursive_update(mean, xs_full.mean(axis=2), alpha)
+        _recursive_update(second, np.mean(np.sum(xs_full**2, axis=3), axis=2), alpha)
 
         end = starts[k + 1]
         if full_atoms:

@@ -271,6 +271,24 @@ def test_batch_two_batches_snapshot_weights():
     assert np.allclose(np.sort(snap.weights), np.sort(want), rtol=1e-12)
 
 
+@pytest.mark.parametrize("batch_sizes, initial", [
+    ((1, 3, 6, 20, 30), InitialCondition.point(1.0)),
+    ((6, 24, 30), InitialCondition.gaussian(0.0, 1.0)),
+], ids=["point_unit_first_batch", "gaussian_first_batch_of_six"])
+def test_batch_moments_are_the_snapshot_moments(batch_sizes, initial):
+    # the folded moments are those of the measure the snapshot weighs: each
+    # batch enters with its empirical mean and its mean of |x|^2
+    milestones = tuple(np.cumsum(batch_sizes).tolist())
+    cfg = ou_config(N=60, batch_sizes=batch_sizes, milestones=milestones, seed=3,
+                    initial=initial)
+    res = batch_spoc_run(cfg)
+    for r in range(cfg.replications):
+        for l, n in enumerate(cfg.milestones):
+            snap = res.snapshots[(r, n, 30)]
+            assert np.allclose(res.mean_traj[r, l, -1], moment(snap, 1), rtol=0, atol=1e-10)
+            assert abs(res.second_traj[r, l, -1] - moment(snap, 2)) <= 1e-10
+
+
 def test_batch_milestones_must_align():
     cfg = ou_config(N=4, batch_sizes=(2, 2), milestones=(3,))
     with pytest.raises(ConfigError):

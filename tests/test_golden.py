@@ -261,9 +261,9 @@ CASES = {name[len("case_"):]: fn for name, fn in globals().items() if name.start
 
 GOLDEN = {
     "batch_ou_full": {
-        "mean_traj": "0fa0abfb1f8efee3098072a5d194ccd22bcaa4d869b60a19cee6d2e4eb9b297a",
-        "second_traj": "baba5e72aaa34c58d034f0015db162547361047bf819efb532b10637e2e12e0e",
-        "snapshots": "a412850cfd25a77f82d4dbefbaf85f7ae09031ffd4aa6859504ade7de9fdd10f",
+        "mean_traj": "92380e15a0cc3f09757cacaef603e7a94e685c9793340adc914ff6923939e8e3",
+        "second_traj": "f492bfef8de73c1e10a630f107a51e919822c11c1eb30e4d44416c230f5a7091",
+        "snapshots": "133892238ef15374d4ae7dd8d694449317482ec771e23f473803f32f3cc63e9f",
     },
     "classical_full_measure": {
         "mean_traj": "51fc005ac6a8ad97a616eac4650dbe4a873d72ebcdd6ead7c3bab370d9f91ffb",

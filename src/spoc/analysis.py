@@ -290,10 +290,10 @@ class DensityCurve:
 
 def check_density_range(range: tuple[float, float]) -> tuple[float, float]:
     """A histogram range (lo, hi), checked before any measure is made:
-    ConfigError names key "range" unless lo < hi."""
+    ConfigError names key "range" unless lo < hi, both finite."""
     lo, hi = range
-    if not lo < hi:
-        raise ConfigError(f"range [{lo}, {hi}] needs lo < hi", key="range")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigError(f"range [{lo}, {hi}] needs finite lo < hi", key="range")
     return lo, hi
 
 

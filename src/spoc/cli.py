@@ -194,6 +194,15 @@ def _table_outputs(out: Path, stem: str, table, fmt: str) -> None:
         (out / f"{stem}.json").write_text(json.dumps(rows, indent=2))
 
 
+def _rate_plot(path: Path, series: dict, title: str) -> str:
+    """Write the log-log plot of the (ns, errs) series and return "", or skip it
+    when no error is positive and return a note for the printed line."""
+    if not any(e > 0 for _, errs in series.values() for e in errs):
+        return " (no plot: no error is positive)"
+    svgplot.loglog_rate_plot(path, series, title=title, ref_slope=-0.5)
+    return ""
+
+
 def _cmd_simulate(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
     out = _out_dir(args, make=False)  # save_run makes it
@@ -235,17 +244,15 @@ def _cmd_compare(cfg: dict, args) -> int:
     out = _out_dir(args)
     _table_outputs(out, f"sequential_{metric}", seq_table, args.format)
     _table_outputs(out, f"classical_{metric}", cls_table, args.format)
-    svgplot.loglog_rate_plot(
-        out / f"compare_{metric}.svg",
-        {"sequential": (seq_table.ns(), seq_table.estimates()),
-         "classical": (cls_table.ns(), cls_table.estimates())},
-        title=f"sequential vs classical: {metric}",
-        ref_slope=-0.5,
-    )
+    note = _rate_plot(out / f"compare_{metric}.svg",
+                      {"sequential": (seq_table.ns(), seq_table.estimates()),
+                       "classical": (cls_table.ns(), cls_table.estimates())},
+                      f"sequential vs classical: {metric}")
     if seq_fit is None:
-        print(f"{NO_FIT} -> {out}")
+        print(f"{NO_FIT} -> {out}{note}")
     else:
-        print(f"sequential slope {seq_fit.slope:+.3f}, classical slope {cls_fit.slope:+.3f} -> {out}")
+        print(f"sequential slope {seq_fit.slope:+.3f}, classical slope {cls_fit.slope:+.3f} "
+              f"-> {out}{note}")
     return 0
 
 
@@ -270,17 +277,14 @@ def _cmd_rates(cfg: dict, args) -> int:
         )
     out = _out_dir(args)
     _table_outputs(out, f"rates_{table.metric}", table, args.format)
-    svgplot.loglog_rate_plot(
-        out / f"rates_{table.metric}.svg",
-        {table.metric: (table.ns(), table.estimates())},
-        title=f"convergence rate: {table.metric}",
-        ref_slope=-0.5,
-    )
+    note = _rate_plot(out / f"rates_{table.metric}.svg",
+                      {table.metric: (table.ns(), table.estimates())},
+                      f"convergence rate: {table.metric}")
     if fit is None:
-        print(f"{NO_FIT} -> {out}")
+        print(f"{NO_FIT} -> {out}{note}")
     else:
         print(f"fitted slope {fit.slope:+.4f} (stderr {fit.stderr:.4f}, "
-              f"R^2 {fit.r_squared:.3f}) -> {out}")
+              f"R^2 {fit.r_squared:.3f}) -> {out}{note}")
     return 0
 
 

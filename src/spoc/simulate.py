@@ -222,6 +222,8 @@ class SimConfig:
             raise ConfigError("checkpoints must not be empty", key="checkpoints")
         idx = []
         for c in cps:
+            if not np.isfinite(c):
+                raise ConfigError(f"checkpoint {c} is not finite", key="checkpoints")
             j = int(round(c / self.dt))
             if not (0 <= j <= self.M) or abs(j * self.dt - c) > GRID_TOL * max(1.0, self.T):
                 raise ConfigError(f"checkpoint {c} is not a grid time", key="checkpoints")

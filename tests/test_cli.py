@@ -171,6 +171,9 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
      "schedule"),
     ("schedule-diag", ['schedule={"kind": "geometric", "q": 0.4}', "gamma=0.5"], "schedule"),
     ("density", ["checkpoints=[1.0, 0.5]"], "checkpoints"),
+    ("simulate", ["checkpoints=[NaN]"], "checkpoints"),
+    ("simulate", ["checkpoints=[Infinity]"], "checkpoints"),
+    ("density", ["range=[-Infinity, 1]"], "range"),
     ("simulate", ["model.name=curie_weiss", 'model.params={"beta": true}'], "model.params"),
     ("simulate", [], None),
 ], ids=["unknown_model", "unknown_param", "non_numeric_param", "geometric_without_q",
@@ -185,7 +188,8 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
         "explicit_shorter_than_n", "rates_geometric_shorter_than_n",
         "compare_geometric_shorter_than_n", "density_geometric_shorter_than_n",
         "iid_geometric_shorter_than_milestone", "diag_geometric_shorter_than_max_n",
-        "unordered_checkpoints", "boolean_param",
+        "unordered_checkpoints", "nan_checkpoint", "infinite_checkpoint", "infinite_range",
+        "boolean_param",
         "truncated_manifest"])
 def test_config_mistakes_and_truncated_manifest(tmp_path, capsys, command, sets, key):
     if "model=null" in sets:
@@ -402,6 +406,21 @@ def test_two_milestones_report_no_fit(tmp_path, capsys, command):
     out = tmp_path / command
     assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 0
     assert "no fit (fewer than 3 milestones)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["rates", "compare"])
+def test_all_zero_errors_write_tables_and_no_plot(tmp_path, capsys, command):
+    # at t = 0 every particle sits at the point initial value, as does the
+    # reference, so every error is 0 and a log-log plot has nothing to show
+    cfg = write_config(tmp_path, N=60, milestones=[15, 30, 60], checkpoints=[0.0])
+    out = tmp_path / command
+    assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 0
+    tables = sorted(p.name for p in out.iterdir())
+    assert tables and all(name.endswith(".csv") for name in tables)
+    for name in tables:
+        rows = (out / name).read_text().strip().split("\n")[1:]
+        assert len(rows) == 3 and all(row.split(",")[1] == "0.0" for row in rows)
+    assert "no plot: no error is positive" in capsys.readouterr().out
 
 
 def test_density_outputs(tmp_path):

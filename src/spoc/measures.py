@@ -18,6 +18,7 @@ from .errors import DimensionMismatchError, MeasureSizeError, NumericsError
 from .schedules import UpdateSchedule
 
 PRUNE_EPS = 1e-15           # weights below this are pruned and the mass renormalized
+_EPS = float(np.finfo(float).eps)
 
 
 def _canonical_atoms(atoms) -> np.ndarray:
@@ -204,34 +205,75 @@ def _sorted_cdfs(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
 
 def _coupling_cost(xa, ca, xb, cb, p: float) -> float:
     """Monotone-coupling transport cost sum(seg * |qa - qb|^p) on the merged CDFs,
-    from sorted atoms xa, xb and their cumulative weights ca, cb.
+    from sorted atoms xa, xb and their cumulative weights ca, cb (running sums
+    of positive weights, so every level is positive and each list sorted).
 
-    The cut levels are the distinct values of ca[:-1] and cb[:-1] inside
-    (0, 1).  Each segment between consecutive edges is represented by its
-    midpoint, so ties at the levels are immaterial.  A side's quantile index at
-    a midpoint is the number of its entries c[:-1] below it, which is
-    min(searchsorted(c, mid, "left"), c.size - 1).  One stable merge of both
-    sides gives those counts without a search: with positive weights every
-    midpoint lies in [left edge, right edge], so the entries below it are
-    those at or below its left edge, or strictly below that edge where the
-    midpoint rounds onto it (adjacent floats).  The indices, and so the cost,
-    equal those of the searches bit for bit.
+    The cut levels are the distinct values of ca[:-1] and cb[:-1] below 1.
+    With the edges 0 and 1 they bound the segments; seg is a segment's length
+    and qa, qb each side's quantile at its midpoint, x[i] for i the number of
+    that side's levels below the midpoint.  As the levels are the edges, that
+    is the number at or below the segment's left edge, or, where the midpoint
+    rounds onto that edge (a segment one float long), below it: the previous
+    segment's index.
+
+    The arrays are built in merged order without a sort.  One search places
+    each a-level among the b-levels.  An a-level equal to a b-level is no edge
+    of its own, as in a merge that puts a-levels first and keeps the last of
+    equal levels; it still raises qa from that edge on.  b-levels fill the
+    remaining edges with one mask, and qa is a run of x[i] per index i.  Equal
+    levels within one side leave empty segments, which are dropped.  So the
+    segments and indices are those of that merge, and of a search of every
+    midpoint in both sides; the product is summed over the same array, and the
+    cost is the same to the bit.
     """
-    merged = np.concatenate([ca[:-1], cb[:-1]])
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    from_a = np.cumsum(order < ca.size - 1)     # ca entries at or before each position
-    keep = (merged > 0.0) & (merged < 1.0)
-    keep[:-1] &= merged[1:] != merged[:-1]      # last of equal levels, with its counts
-    edges = np.concatenate([[0.0], merged[keep], [1.0]])
-    seg = np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    on_left_edge = mid == edges[:-1]
-    below_a = np.concatenate([[0], from_a[keep]])
-    below_b = np.concatenate([[0], np.flatnonzero(keep) + 1 - from_a[keep]])
-    ia = np.where(on_left_edge, np.concatenate([[0], below_a[:-1]]), below_a)
-    ib = np.where(on_left_edge, np.concatenate([[0], below_b[:-1]]), below_b)
-    return float(np.sum(seg * np.abs(xa[ia] - xb[ib]) ** p))
+    na = int(ca[:-1].searchsorted(1.0))
+    nb = int(cb[:-1].searchsorted(1.0))
+    la, lb = ca[:na], cb[:nb]
+    ka = lb.searchsorted(la)                    # b-levels below each a-level
+    tied = cb[ka] == la
+    tied &= ka < nb
+    free = ~tied
+    kf = ka[free]
+    n_seg = nb + kf.size + 1
+    at_a = kf + np.arange(1, kf.size + 1)       # segments whose left edge is a free a-level
+    at_b = np.ones(n_seg, dtype=bool)           # ... is a b-level
+    at_b[0] = False
+    at_b[at_a] = False
+    edges = np.empty(n_seg + 1)
+    edges[0], edges[-1] = 0.0, 1.0
+    left, right = edges[:-1], edges[1:]
+    left[at_b] = lb
+    left[at_a] = la[free]
+    qb = np.empty(n_seg)
+    qb[0] = xb[0]
+    qb[at_b] = xb[1 : nb + 1]
+    qb[at_a] = xb[kf]
+    # a-level i is the left edge of segment ends[i + 1] + 1; segments
+    # ends[i] + 1 .. ends[i + 1] take xa[i]
+    ends = np.empty(na + 2, dtype=np.intp)
+    ends[0], ends[-1] = -1, n_seg - 1
+    inner = ends[1:-1]
+    free.cumsum(out=inner)
+    inner += ka
+    inner -= free
+    qa = xa[: na + 1].repeat(ends[1:] - ends[:-1])
+    seg = right - left
+    # only a segment one float long (at most eps below 1) has its midpoint on
+    # its left edge, and only equal levels on one side give an empty one
+    short = np.flatnonzero(seg <= _EPS)
+    if short.size and not seg[short].all():
+        keep = seg != 0.0
+        seg, qa, qb, left, right = seg[keep], qa[keep], qb[keep], left[keep], right[keep]
+        short = np.flatnonzero(seg <= _EPS)
+    short = short[0.5 * (left[short] + right[short]) == left[short]]
+    before = np.maximum(short - 1, 0)
+    qa[short] = qa[before]
+    qb[short] = qb[before]
+    qa -= qb
+    np.abs(qa, out=qa)
+    qa **= p
+    qa *= seg
+    return float(qa.sum())
 
 
 def wasserstein_1d(mu: WeightedEmpirical, nu: WeightedEmpirical, p: float = 2.0) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from spoc import (
@@ -21,7 +23,7 @@ from spoc import (
     wasserstein_exact,
     weight_sequence,
 )
-from spoc.measures import _coupling_cost, _sorted_cdfs
+from spoc.measures import PRUNE_EPS, _coupling_cost, _sorted_cdfs
 from spoc.schedules import measure_weights
 
 RNG = np.random.default_rng(12345)
@@ -385,6 +387,82 @@ def test_coupling_cost_equals_searched_indices(sizes, kinds):
         sides += [x, c]
     for p in (1.0, 2.0, 3.0):
         assert _coupling_cost(*sides, p) == _searched_coupling_cost(*sides, p)
+
+
+_NEAR_PRUNE = PRUNE_EPS * (1.0 + 1e-6)
+
+
+@st.composite
+def _coupling_side(draw, n=None, weight_kind=None):
+    """Sorted atoms and running weight sums of a measure with small integer
+    atoms (tied atoms) and weights that are uniform, integer, random, or mixed
+    with ones just above PRUNE_EPS (whose sums stall on equal levels and reach
+    1 before the last atom)."""
+    n = n or draw(st.integers(1, 40))
+    kind = weight_kind or draw(st.sampled_from(["uniform", "integer", "random", "near_prune"]))
+    if kind == "uniform":
+        w = np.full(n, 1.0 / n)
+    elif kind == "integer":
+        w = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float)
+    else:
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        if kind == "near_prune":
+            tiny = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            w[np.array(tiny)] = _NEAR_PRUNE
+    atoms = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    mu = WeightedEmpirical(atoms, w)
+    (x,), (c,) = _sorted_cdfs(mu.atoms, mu.weights)
+    return x, c
+
+
+@st.composite
+def _coupling_pairs(draw):
+    """Both sides of a coupling, drawn to meet every branch of the merge: levels
+    shared by both sides (uniform weights, n dividing N), one-ulp neighbouring
+    levels (where a midpoint rounds onto its left edge), equal levels on one
+    side, levels that round to 1 or above, single atoms and tiny weights."""
+    kind = draw(st.sampled_from(["shared", "ulp", "independent"]))
+    if kind == "shared":
+        n = draw(st.integers(1, 30))
+        a = draw(_coupling_side(n, "uniform"))
+        b = draw(_coupling_side(n * draw(st.sampled_from([1, 2, 3, 10])), "uniform"))
+    elif kind == "ulp":
+        a = draw(_coupling_side())
+        # b's levels: a's, each moved by at most one ulp, then some of b's own
+        steps = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=a[1].size,
+                                       max_size=a[1].size)))
+        levels = np.nextafter(a[1], a[1] + steps)
+        extra = draw(st.lists(st.floats(1e-3, 1.0), max_size=5))
+        cb = np.sort(np.concatenate([levels, extra]))
+        xb = np.sort(np.array(draw(st.lists(st.integers(-3, 3), min_size=cb.size,
+                                            max_size=cb.size)), dtype=float))
+        b = (xb, cb)
+    else:
+        a, b = draw(_coupling_side()), draw(_coupling_side())
+    return (*a, *b) if draw(st.booleans()) else (*b, *a)
+
+
+@given(_coupling_pairs())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_coupling_cost_property_equals_searched_indices(sides):
+    for p in (1.0, 2.0, 3.0):
+        assert _coupling_cost(*sides, p) == _searched_coupling_cost(*sides, p)
+
+
+@given(st.sampled_from([10, 30, 60, 120]), st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_sliced_w2_of_a_harmonic_snapshot_equals_searched_indices(n, seed):
+    # the rate study's shape: a harmonic snapshot of n atoms in 3-d against a
+    # uniform reference of 10n atoms, 64 projections
+    rng = np.random.default_rng(seed)
+    snap = WeightedEmpirical(rng.standard_normal((n, 3)),
+                             measure_weights(UpdateSchedule.harmonic(), n)(n))
+    ref = SlicedReference(uniform(rng.standard_normal((10 * n, 3))), 64, seed)
+    atoms, cum = _sorted_cdfs(snap.atoms @ ref.directions.T, snap.weights)
+    total = 0.0
+    for j in range(64):
+        total += _searched_coupling_cost(atoms[j], cum[j], ref.atoms[j], ref.cum_weights[j], 2.0)
+    assert sliced_w2(snap, ref, 64, seed) == float(np.sqrt(total / 64))
 
 
 # -- quantile-grid oracle ------------------------------------------------------------

@@ -131,6 +131,15 @@ def _table_from_samples(metric: str, ns: Sequence[int], samples: np.ndarray) -> 
     return ConvergenceTable(metric=metric, rows=rows, per_replication=samples)
 
 
+def _table_fit(table: ConvergenceTable) -> "RateFit | None":
+    """The rate fit of a table's milestone means, or None for fewer than 3
+    milestones or when a mean error is not positive (it has no logarithm)."""
+    means = table.per_replication.mean(axis=0)
+    if means.size < 3 or not (means > 0.0).all():
+        return None
+    return rate_fit(table.ns(), means)
+
+
 def _w2_samples(snapshots, ref_sample: WeightedEmpirical, seed: int) -> list[float]:
     """W_2 of each snapshot to the reference sample: exact in 1-d, else sliced
     with the seed.  The snapshots share the seed, so the reference side of
@@ -156,13 +165,17 @@ def convergence_study(
     point of the comparison.  Metrics, all at the terminal checkpoint:
     w2_to_reference (W_2 between the milestone snapshot and the reference
     sample measure; callers square it when tabulating squared distances),
-    mean_abs_err, second_moment_err.  The fit is None for < 3 milestones.
+    mean_abs_err, second_moment_err.  The fit is None for < 3 milestones or
+    when a milestone's mean error is not positive.  A sequential study asks the
+    schedule for its largest milestone before the reference is built.
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}", key="metric")
     if algorithm not in ("spoc", "classical_poc"):
         raise ConfigError(f"unknown algorithm {algorithm!r} for studies", key="algorithm")
     milestones = tuple(int(n) for n in milestones)
+    if algorithm == "spoc":
+        config.schedule.alphas(max(milestones))
     if reference is None:
         reference = reference_run(config.model, config)
     term_idx = config.checkpoint_indices[-1]
@@ -192,10 +205,7 @@ def convergence_study(
             samples[:, l] = np.abs(run.second_traj[:, i, -1] - ref_second)
 
     table = _table_from_samples(metric, milestones, samples)
-    fit = None
-    if len(milestones) >= 3:
-        fit = rate_fit(milestones, np.maximum(table.per_replication.mean(axis=0), 1e-300))
-    return table, fit
+    return table, _table_fit(table)
 
 
 def iid_convergence_study(
@@ -235,10 +245,7 @@ def iid_convergence_study(
             samples[r, l] = d * d if squared else d
     metric = "w2_sq_to_reference" if squared else "w2_to_reference"
     table = _table_from_samples(metric, milestones, samples)
-    fit = None
-    if len(milestones) >= 3:
-        fit = rate_fit(milestones, table.per_replication.mean(axis=0))
-    return table, fit
+    return table, _table_fit(table)
 
 
 def kn_second_moment_study(

@@ -44,7 +44,6 @@ from .simulate import (
 )
 from . import svgplot
 
-NO_FIT = "no fit (fewer than 3 milestones)"
 # the keys that rates reads when it has no model (a study of i.i.d. draws)
 _IID_KEYS = {"model", "schedule", "seed", "replications", "milestones"}
 
@@ -203,6 +202,13 @@ def _rate_plot(path: Path, series: dict, title: str) -> str:
     return ""
 
 
+def _no_fit(table) -> str:
+    """Why a study's table has no rate fit."""
+    if len(table.rows) < 3:
+        return "no fit (fewer than 3 milestones)"
+    return "no fit (a milestone's mean error is not positive)"
+
+
 def _cmd_simulate(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
     out = _out_dir(args, make=False)  # save_run makes it
@@ -234,6 +240,7 @@ def _cmd_compare(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
     milestones = tuple(cfg.get("milestones") or config.milestones)
     metric = cfg.get("metric", METRIC_MEAN)
+    config.schedule.alphas(max(milestones))  # the sequential study's, before the reference
     reference = reference_run(config.model, config)
     seq_table, seq_fit = convergence_study(
         config, milestones, metric, reference, algorithm="spoc", workers=args.workers
@@ -248,11 +255,9 @@ def _cmd_compare(cfg: dict, args) -> int:
                       {"sequential": (seq_table.ns(), seq_table.estimates()),
                        "classical": (cls_table.ns(), cls_table.estimates())},
                       f"sequential vs classical: {metric}")
-    if seq_fit is None:
-        print(f"{NO_FIT} -> {out}{note}")
-    else:
-        print(f"sequential slope {seq_fit.slope:+.3f}, classical slope {cls_fit.slope:+.3f} "
-              f"-> {out}{note}")
+    seq, cls = (_no_fit(table) if fit is None else f"slope {fit.slope:+.3f}"
+                for fit, table in ((seq_fit, seq_table), (cls_fit, cls_table)))
+    print(f"sequential {seq}, classical {cls} -> {out}{note}")
     return 0
 
 
@@ -281,7 +286,7 @@ def _cmd_rates(cfg: dict, args) -> int:
                       {table.metric: (table.ns(), table.estimates())},
                       f"convergence rate: {table.metric}")
     if fit is None:
-        print(f"{NO_FIT} -> {out}{note}")
+        print(f"{_no_fit(table)} -> {out}{note}")
     else:
         print(f"fitted slope {fit.slope:+.4f} (stderr {fit.stderr:.4f}, "
               f"R^2 {fit.r_squared:.3f}) -> {out}{note}")

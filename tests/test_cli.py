@@ -420,7 +420,28 @@ def test_all_zero_errors_write_tables_and_no_plot(tmp_path, capsys, command):
     for name in tables:
         rows = (out / name).read_text().strip().split("\n")[1:]
         assert len(rows) == 3 and all(row.split(",")[1] == "0.0" for row in rows)
-    assert "no plot: no error is positive" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "no plot: no error is positive" in printed
+    # three milestones, but errors of 0 have no logarithm: no slope, and the reason
+    assert "slope" not in printed
+    assert "no fit (a milestone's mean error is not positive)" in printed
+
+
+@pytest.mark.parametrize("command", ["rates", "compare"])
+def test_schedule_is_checked_before_the_reference(tmp_path, monkeypatch, capsys, command):
+    # a schedule that cannot serve the largest milestone exits before any
+    # reference run, whose 10N-particle surrogate would be wasted work
+    def no_reference_run(*args, **kwargs):
+        raise AssertionError("reference_run called before the schedule check")
+
+    monkeypatch.setattr(spoc.cli, "reference_run", no_reference_run)
+    monkeypatch.setattr(spoc.analysis, "reference_run", no_reference_run)
+    cfg = write_config(tmp_path, model={"name": "curie_weiss"}, N=60, milestones=[15, 30, 60],
+                       schedule={"kind": "geometric", "q": 1e-10})
+    out = tmp_path / command
+    assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[schedule]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_density_outputs(tmp_path):

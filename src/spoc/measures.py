@@ -206,33 +206,30 @@ def _sorted_cdfs(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
 def _coupling_cost(xa, ca, xb, cb, p: float) -> float:
     """Monotone-coupling transport cost sum(seg * |qa - qb|^p) on the merged CDFs,
     from sorted atoms xa, xb and their cumulative weights ca, cb (running sums
-    of positive weights, so every level is positive and each list sorted).
+    of positive weights: every level is positive and each list is sorted).
 
-    The cut levels are the distinct values of ca[:-1] and cb[:-1] below 1.
-    With the edges 0 and 1 they bound the segments; seg is a segment's length
-    and qa, qb each side's quantile at its midpoint, x[i] for i the number of
-    that side's levels below the midpoint.  As the levels are the edges, that
-    is the number at or below the segment's left edge, or, where the midpoint
-    rounds onto that edge (a segment one float long), below it: the previous
-    segment's index.
+    The segments are cut at the distinct values of ca[:-1] and cb[:-1] below 1
+    and bounded by 0 and 1.  seg is a segment's length, and qa, qb are each
+    side's quantile at its midpoint: x[i] for i the number of that side's
+    levels below the midpoint, min(searchsorted(c, mid, "left"), c.size - 1).
+    As every level is an edge, that is the number at or below the segment's
+    left edge, except where the midpoint rounds onto that edge (the segment is
+    one float long): there it is the previous segment's.
 
-    The arrays are built in merged order without a sort.  One search places
-    each a-level among the b-levels.  An a-level equal to a b-level is no edge
-    of its own, as in a merge that puts a-levels first and keeps the last of
-    equal levels; it still raises qa from that edge on.  b-levels fill the
-    remaining edges with one mask, and qa is a run of x[i] per index i.  Equal
-    levels within one side leave empty segments, which are dropped.  So the
-    segments and indices are those of that merge, and of a search of every
-    midpoint in both sides; the product is summed over the same array, and the
-    cost is the same to the bit.
+    The arrays are built in merged order with one search and no sort.  Each
+    a-level is placed among the b-levels.  An a-level equal to a b-level is
+    no edge of its own but raises qa from that edge on, as a stable merge that
+    keeps the last of equal levels counts it.  The b-levels, and qb with them,
+    fill the remaining edges through one mask, and qa is one run of x[i] per
+    index i.  Equal levels within one side leave empty segments, which are
+    dropped.  So the segment array is that of the stable merge of both sides,
+    element for element, and its sum, over the same array, is the same float.
     """
     na = int(ca[:-1].searchsorted(1.0))
     nb = int(cb[:-1].searchsorted(1.0))
     la, lb = ca[:na], cb[:nb]
     ka = lb.searchsorted(la)                    # b-levels below each a-level
-    tied = cb[ka] == la
-    tied &= ka < nb
-    free = ~tied
+    free = (cb[ka] != la) | (ka == nb)          # not equal to a b-level
     kf = ka[free]
     n_seg = nb + kf.size + 1
     at_a = kf + np.arange(1, kf.size + 1)       # segments whose left edge is a free a-level
@@ -248,15 +245,9 @@ def _coupling_cost(xa, ca, xb, cb, p: float) -> float:
     qb[0] = xb[0]
     qb[at_b] = xb[1 : nb + 1]
     qb[at_a] = xb[kf]
-    # a-level i is the left edge of segment ends[i + 1] + 1; segments
-    # ends[i] + 1 .. ends[i + 1] take xa[i]
-    ends = np.empty(na + 2, dtype=np.intp)
-    ends[0], ends[-1] = -1, n_seg - 1
-    inner = ends[1:-1]
-    free.cumsum(out=inner)
-    inner += ka
-    inner -= free
-    qa = xa[: na + 1].repeat(ends[1:] - ends[:-1])
+    # a-level i is the left edge of segment starts[i + 1]; from there on qa is xa[i + 1]
+    starts = np.concatenate(([0], ka + free.cumsum() - free + 1, [n_seg]))
+    qa = xa[: na + 1].repeat(starts[1:] - starts[:-1])
     seg = right - left
     # only a segment one float long (at most eps below 1) has its midpoint on
     # its left edge, and only equal levels on one side give an empty one

@@ -61,10 +61,9 @@ MomentView = namedtuple("MomentView", ["mean", "raw_second_moment"])
 # measure view handed to full-measure evaluators
 AtomView = namedtuple("AtomView", ["atoms", "weights"])
 
-RUN_SCHEMA = "spoc-run-v2"
+RUN_SCHEMA = "spoc-run-v3"
 INITIAL_KINDS = ("point", "gaussian")
 MEASURE_BACKENDS = ("full_atoms", "summary_only")
-_PATHS_MAGIC = b"SPOCPATH"
 _ATOMS_MAGIC = b"SPOCATOM"
 
 
@@ -242,6 +241,15 @@ class SimConfig:
     def times(self) -> np.ndarray:
         return np.arange(self.M + 1) * self.dt
 
+    @property
+    def store_columns(self) -> dict[int, int]:
+        """Grid index -> column of the run's atom store (R, N, columns, dim):
+        every grid index with store_paths, else the checkpoint indices of a
+        full_atoms run; a summary run without paths keeps no store."""
+        full = self.measure_backend == "full_atoms"
+        kept = range(self.M + 1) if self.store_paths else self.checkpoint_indices if full else ()
+        return {m: c for c, m in enumerate(kept)}
+
     def to_dict(self) -> dict:
         return {
             "model": self.model.to_dict(),
@@ -289,10 +297,12 @@ class RunResult:
     """Per-replication milestone trajectories and snapshots of one run.
 
     mean_traj has shape (R, len(milestones), len(checkpoints), dim) and
-    second_traj (R, len(milestones), len(checkpoints)); snapshots is a
-    read-only RunSnapshots mapping from (replication, milestone_n, grid_index)
-    to a measure snapshot, built on access; paths, when stored, is
-    (R, N, M+1, dim).  wall_time_s is None for a run read back by load_run.
+    second_traj (R, len(milestones), len(checkpoints)); atoms is the atom
+    store (R, N, columns, dim) of config.store_columns, or None, and paths
+    the store of a store_paths run.  snapshots is a read-only RunSnapshots
+    mapping from (replication, milestone_n, grid_index) to a measure
+    snapshot, built on access.  wall_time_s is None for a run read back by
+    load_run.
     """
 
     config: SimConfig
@@ -301,10 +311,17 @@ class RunResult:
     milestones: tuple[int, ...]
     mean_traj: np.ndarray
     second_traj: np.ndarray
-    snapshots: RunSnapshots
-    paths: np.ndarray | None
+    atoms: np.ndarray | None
     wall_time_s: float | None
     n_steps: int
+    snapshots: RunSnapshots = field(init=False)
+
+    def __post_init__(self):
+        self.snapshots = RunSnapshots(self)
+
+    @property
+    def paths(self) -> np.ndarray | None:
+        return self.atoms if self.config.store_paths else None
 
     def milestone_index(self, n: int) -> int:
         return self.milestones.index(n)
@@ -410,33 +427,34 @@ def _milestone_weights(config: SimConfig, algorithm: str, milestones) -> list[np
 class RunSnapshots(Mapping):
     """Read-only mapping (replication, milestone n, grid index) -> snapshot.
 
-    A full_atoms run keeps one atom store, atoms_cp of shape (R, N, n_cp, dim),
-    and one raw weight vector per milestone: snapshot (r, n, m) is the
-    WeightedEmpirical of the first n atoms of replication r at checkpoint m.
-    A summary run's snapshots are the SummaryStats of its milestone moments.
-    Each access builds a new immutable measure.
+    A full_atoms run reads its atom store and one raw weight vector per
+    milestone: snapshot (r, n, m) is the WeightedEmpirical of the first n
+    atoms of replication r in the store column of grid index m.  A summary
+    run's snapshots are the SummaryStats of its milestone moments, whether or
+    not it keeps paths.  Each access builds a new immutable measure.
     """
 
-    def __init__(self, config: SimConfig, algorithm: str, milestones, mean_traj, second_traj,
-                 atoms_cp=None):
-        self.atoms_cp = atoms_cp
-        if atoms_cp is not None:
-            self._weights = _milestone_weights(config, algorithm, milestones)
-        self._mean, self._second = mean_traj, second_traj
+    def __init__(self, run: RunResult):
+        config = run.config
+        self._atoms = run.atoms if config.measure_backend == "full_atoms" else None
+        if self._atoms is not None:
+            self._weights = _milestone_weights(config, run.algorithm, run.milestones)
+        self._mean, self._second = run.mean_traj, run.second_traj
+        cols = config.store_columns
         self._pos = {
-            (r, n, int(mi)): (r, l, c)
-            for l, n in enumerate(milestones)
-            for r in range(mean_traj.shape[0])
+            (r, n, int(mi)): (r, l, c, cols.get(mi))
+            for l, n in enumerate(run.milestones)
+            for r in range(config.replications)
             for c, mi in enumerate(config.checkpoint_indices)
         }
 
     def __getitem__(self, key):
-        r, l, c = self._pos[key]
-        if self.atoms_cp is None:
+        r, l, c, col = self._pos[key]
+        if self._atoms is None:
             return SummaryStats(mean=self._mean[r, l, c].copy(),
                                 raw_second_moment=float(self._second[r, l, c]))
         w = self._weights[l]
-        return WeightedEmpirical(self.atoms_cp[r, : w.size, c].copy(), w.copy())
+        return WeightedEmpirical(self._atoms[r, : w.size, col].copy(), w.copy())
 
     def __iter__(self):
         return iter(self._pos)
@@ -499,7 +517,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     n_cp = cp_idx.size
     milestones = config.milestones
     milestone_set = {n: l for l, n in enumerate(milestones)}
-    full_atoms = config.measure_backend == "full_atoms"
     dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
     coupled = ref_moments is not None
 
@@ -525,9 +542,9 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     # lanes reach back to the last particle with alpha = 1, none is 1
     rev_alphas = alphas[::-1, None, None]
     exact_until = np.flatnonzero(alphas == 1.0)[-1] + M
-    atoms_cp = np.zeros((Rc, N, n_cp, dim)) if full_atoms else None
-    paths = np.zeros((Rc, N, M + 1, dim)) if config.store_paths else None
-    gather = full_atoms or paths is not None
+    kept = np.array(list(config.store_columns), dtype=int)
+    store = np.zeros((Rc, N, kept.size, dim)) if kept.size else None
+    store_rows = prows[:, kept]  # rows of xs on particle k's path at the kept grid indices
 
     mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
     second_traj = np.zeros((Rc, len(milestones), n_cp))
@@ -611,12 +628,8 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
             k = w - M  # particle index k (0-based) has its whole path now
             if k < 0:
                 continue
-            if gather:
-                xp = xs[prows[k % S], cols]  # (M+1, Rc, dim)
-                if full_atoms:
-                    atoms_cp[:, k] = xp[cp_idx].transpose(1, 0, 2)
-                if paths is not None:
-                    paths[:, k] = xp.transpose(1, 0, 2)
+            if store is not None:
+                store[:, k] = xs[store_rows[k % S], kept].transpose(1, 0, 2)
             if coupled:
                 gap = gap_sums[w % 2, M + 1] / config.T
                 _recursive_update(kn_gap_state, gap, alphas[k])
@@ -628,8 +641,7 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
-        "atoms_cp": atoms_cp,
-        "paths": paths,
+        "atoms": store,
         "gap_kn": gap_kn if coupled else None,
         "gap_last": gap_last if coupled else None,
         "n_steps": M * (N - 1) * Rc,
@@ -668,7 +680,6 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     n_cp = cp_idx.size
     milestones = config.milestones
     milestone_set = {n: l for l, n in enumerate(milestones)}
-    full_atoms = config.measure_backend == "full_atoms"
     moment_only = model.interaction_form == INTERACTION_MOMENT
     dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
 
@@ -686,11 +697,12 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
 
     mean = np.zeros((M + 1, Rc, dim))
     second = np.zeros((M + 1, Rc))
-    atoms_cp = np.zeros((Rc, N, n_cp, dim)) if full_atoms else None
-    # full-measure steps read the grid paths of all earlier particles
-    grid = None
-    if config.store_paths or not moment_only:
-        grid = np.zeros((Rc, N, M + 1, dim))
+    kept = np.array(list(config.store_columns), dtype=int)
+    # full-measure steps read the grid paths of all earlier particles: the
+    # store of such a run without paths holds the whole grid until the end
+    whole_grid = not (moment_only or config.store_paths)
+    cols = np.arange(M + 1) if whole_grid else kept
+    store = np.zeros((Rc, N, cols.size, dim)) if cols.size else None
     weights = None if moment_only else measure_weights(config.schedule, N, config.batch_sizes)
 
     mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
@@ -725,7 +737,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
                         # full-measure interaction: frozen atom list per replication
                         xn = np.empty_like(x)
                         for ri in range(Rc):
-                            view = AtomView(grid[ri, :n_prev, m - 1, :], wv)
+                            view = AtomView(store[ri, :n_prev, m - 1, :], wv)
                             xn[ri] = _em_step(model, t_prev, x[ri], view, dw[ri, :, m - 1],
                                               db[ri, :, m - 1] if dual else None, dt)
                         x = xn
@@ -738,10 +750,8 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         _recursive_update(second, np.mean(np.sum(xs_full**2, axis=3), axis=2), alpha)
 
         end = starts[k + 1]
-        if full_atoms:
-            atoms_cp[:, starts[k] : end] = xs_full[cp_idx].transpose(1, 2, 0, 3)
-        if grid is not None:
-            grid[:, starts[k] : end] = xs_full.transpose(1, 2, 0, 3)
+        if store is not None:
+            store[:, starts[k] : end] = xs_full[cols].transpose(1, 2, 0, 3)
 
         if end in milestone_set:
             l = milestone_set[end]
@@ -751,8 +761,7 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
-        "atoms_cp": atoms_cp,
-        "paths": grid if config.store_paths else None,
+        "atoms": store[:, :, kept] if whole_grid else store,
         "n_steps": n_steps,
     }
 
@@ -772,7 +781,7 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
     cp_idx = np.asarray(config.checkpoint_indices, dtype=int)
     moment_only = model.interaction_form == INTERACTION_MOMENT
     dual = model.noise_form == NOISE_ADDITIVE_PLUS_FREE
-    full_atoms = config.measure_backend == "full_atoms"
+    cols = config.store_columns
 
     gens = [replication_stream(config.seed, r) for r in rep_ids]
     if init.needs_noise:
@@ -781,43 +790,39 @@ def _classical_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
         z0 = np.empty((Rc, N, 0))
     x = init.from_block(z0, dim)  # (Rc, N, dim)
 
-    atoms_cp = np.zeros((Rc, N, len(cp_idx), dim)) if full_atoms else None
-    cp_at = {int(mi): ci for ci, mi in enumerate(cp_idx)} if full_atoms else {}
+    store = np.zeros((Rc, N, len(cols), dim)) if cols else None
     mean_t = np.zeros((M + 1, Rc, dim))
     second_t = np.zeros((M + 1, Rc))
 
     def empirical(xs):
         return xs.mean(axis=1), np.mean(np.sum(xs**2, axis=-1), axis=1)
 
-    mean_t[0], second_t[0] = empirical(x)
-    if 0 in cp_at:
-        atoms_cp[:, :, cp_at[0]] = x
-    for m in range(1, M + 1):
-        em, es = mean_t[m - 1], second_t[m - 1]
-        dw = np.stack([g.standard_normal((N, dim)) for g in gens]) * sqdt
-        db = np.stack([g.standard_normal((N, dim)) for g in gens]) * sqdt if dual else None
-        if moment_only:
-            view = MomentView(em[:, None, :], es[:, None])
-            x = _em_step(model, times[m - 1], x, view, dw, db, dt)
-        else:
-            xn = np.empty_like(x)
-            w = np.full(N, 1.0 / N)
-            for ri in range(Rc):
-                xn[ri] = _em_step(model, times[m - 1], x[ri], AtomView(x[ri], w), dw[ri],
-                                  db[ri] if dual else None, dt)
-            x = xn
-        _check_finite_path(x[None], m, 1, rep_ids)
+    for m in range(M + 1):
+        if m > 0:
+            em, es = mean_t[m - 1], second_t[m - 1]
+            dw = np.stack([g.standard_normal((N, dim)) for g in gens]) * sqdt
+            db = np.stack([g.standard_normal((N, dim)) for g in gens]) * sqdt if dual else None
+            if moment_only:
+                view = MomentView(em[:, None, :], es[:, None])
+                x = _em_step(model, times[m - 1], x, view, dw, db, dt)
+            else:
+                xn = np.empty_like(x)
+                w = np.full(N, 1.0 / N)
+                for ri in range(Rc):
+                    xn[ri] = _em_step(model, times[m - 1], x[ri], AtomView(x[ri], w), dw[ri],
+                                      db[ri] if dual else None, dt)
+                x = xn
+            _check_finite_path(x[None], m, 1, rep_ids)
         mean_t[m], second_t[m] = empirical(x)
-        if m in cp_at:
-            atoms_cp[:, :, cp_at[m]] = x
+        if m in cols:
+            store[:, :, cols[m]] = x
 
     mean_traj = mean_t[cp_idx].transpose(1, 0, 2)[:, None, :, :]
     second_traj = second_t[cp_idx].transpose(1, 0)[:, None, :]
     return {
         "mean_traj": mean_traj,
         "second_traj": second_traj,
-        "atoms_cp": atoms_cp,
-        "paths": None,
+        "atoms": store,
         # full-grid empirical moments, used by surrogate reference solutions
         "mean_grid": mean_t.transpose(1, 0, 2),
         "second_grid": second_t.transpose(1, 0),
@@ -881,9 +886,7 @@ def _execute(config: SimConfig, algorithm: str, workers: int = 1,
         milestones=milestones,
         mean_traj=merged["mean_traj"],
         second_traj=merged["second_traj"],
-        snapshots=RunSnapshots(config, algorithm, milestones, merged["mean_traj"],
-                               merged["second_traj"], merged["atoms_cp"]),
-        paths=merged["paths"],
+        atoms=merged["atoms"],
         wall_time_s=time.perf_counter() - t0,
         n_steps=merged["n_steps"],
     )
@@ -1022,16 +1025,19 @@ def reference_run(
         if closed:
             mean, second, fine_mean, fine_second, clamps = _moment_reference(ref_cfg)
             fine_times = np.arange(fine_mean.shape[0]) * (config.dt / _RK4_SUBSTEPS)
-            samples, paths = _decoupled_samples(ref_cfg, mean, second)
-        else:  # full-grid moments, indexable by grid position; classical runs store no paths
+            store = _decoupled_store(ref_cfg, mean, second)
+        else:  # full-grid moments, indexable by grid position
             run, merged = _execute(ref_cfg, ALGO_CLASSICAL)
             mean, second = merged["mean_grid"][0], merged["second_grid"][0]
-            samples = {mi: run.snapshots[(0, n_ref, mi)] for mi in config.checkpoint_indices}
-            fine_times = fine_mean = fine_second = paths = None
+            store = run.atoms[0]
+            fine_times = fine_mean = fine_second = None
             clamps = 0
     except BlowUpError as exc:
         raise BlowUpError(f"{kind.replace('_', '-')} reference: {exc}", particle=exc.particle,
                           step=exc.step, replication=exc.replication) from None
+    cols, w = ref_cfg.store_columns, np.full(n_ref, 1.0 / n_ref)
+    samples = {mi: WeightedEmpirical(store[:, cols[mi]].copy(), w.copy())
+               for mi in config.checkpoint_indices}
     return ReferenceSolution(
         kind=kind,
         mean=mean,
@@ -1040,16 +1046,16 @@ def reference_run(
         fine_mean=fine_mean,
         fine_second=fine_second,
         samples=samples,
-        paths=paths,
+        paths=store if store_paths else None,
         n_ref=n_ref,
         clamp_count=clamps,
     )
 
 
-def _decoupled_samples(config: SimConfig, ref_mean, ref_second):
-    """config.N independent Euler paths of config's model whose coefficients
-    read the reference moment curves (the decoupled stand-in for i.i.d. copies
-    of the limit law): (samples per checkpoint, paths or None)."""
+def _decoupled_store(config: SimConfig, ref_mean, ref_second) -> np.ndarray:
+    """The (N, columns, dim) atom store of config.N independent Euler paths of
+    config's model whose coefficients read the reference moment curves (the
+    decoupled stand-in for i.i.d. copies of the limit law)."""
     dim, M, N, dt = config.model.dim, config.M, config.N, config.dt
     times = config.times()
     dual = config.model.noise_form == NOISE_ADDITIVE_PLUS_FREE
@@ -1058,24 +1064,17 @@ def _decoupled_samples(config: SimConfig, ref_mean, ref_second):
                          block_width(dim, M, init_draws, dual)).take(N)
     z0, dw, db = split_blocks(blocks, dim, M, init_draws, dual, dt)
     x = config.initial.from_block(z0, dim)
-    paths = np.zeros((N, M + 1, dim)) if config.store_paths else None
-    if paths is not None:
-        paths[:, 0] = x
-    keep = {}
-    if 0 in config.checkpoint_indices:
-        keep[0] = x.copy()
-    for m in range(1, M + 1):
-        view = MomentView(ref_mean[m - 1], ref_second[m - 1])
-        x = _em_step(config.model, times[m - 1], x, view, dw[:, m - 1],
-                     db[:, m - 1] if dual else None, dt)
-        _check_finite_path(x[None, None], m, 1, [0])
-        if paths is not None:
-            paths[:, m] = x
-        if m in config.checkpoint_indices:
-            keep[m] = x.copy()
-    w = np.full(N, 1.0 / N)
-    samples = {mi: WeightedEmpirical(pts, w.copy()) for mi, pts in keep.items()}
-    return samples, paths
+    cols = config.store_columns
+    store = np.zeros((N, len(cols), dim))
+    for m in range(M + 1):
+        if m > 0:
+            view = MomentView(ref_mean[m - 1], ref_second[m - 1])
+            x = _em_step(config.model, times[m - 1], x, view, dw[:, m - 1],
+                         db[:, m - 1] if dual else None, dt)
+            _check_finite_path(x[None, None], m, 1, [0])
+        if m in cols:
+            store[:, cols[m]] = x
+    return store
 
 
 @dataclass
@@ -1124,24 +1123,28 @@ def _write_manifest(out: Path, manifest: dict) -> None:
     os.replace(tmp, out / "manifest.json")
 
 
-def _read_array(path, magic: bytes, what: str) -> np.ndarray:
-    """A 4-d float64 array stored behind an 8-byte magic, a format version and its shape."""
-    raw = Path(path).read_bytes()
-    if raw[: len(magic)] != magic:
-        raise ValueError(f"not a {what} file")
-    off = len(magic)
-    version, *shape = struct.unpack_from("<I4Q", raw, off)
-    if version != 1:
-        raise ValueError(f"unsupported {what} version {version}")
-    off += struct.calcsize("<I4Q")
-    return np.frombuffer(raw, dtype=float, offset=off).reshape(shape).copy()
+def _atoms_head(config: SimConfig) -> tuple[bytes, tuple[int, ...]]:
+    """The head of a run's atoms.bin (an 8-byte magic, a format version and the
+    shape (R, N, kept columns, dim) of its atom store) and that shape."""
+    shape = (config.replications, config.N, len(config.store_columns), config.model.dim)
+    return _ATOMS_MAGIC + struct.pack("<I4Q", 1, *shape), shape
+
+
+def _read_array(path: Path, config: SimConfig) -> np.ndarray:
+    """The atom store of a run of config, read from atoms.bin at path."""
+    head, shape = _atoms_head(config)
+    with open(path, "rb") as fh:
+        fh.seek(len(head))
+        return np.fromfile(fh, dtype=float).reshape(shape)
 
 
 def save_run(result: RunResult, out_dir) -> None:
-    """Persist a run in schema spoc-run-v2: manifest.json, summary.csv, and
-    atoms.bin (the (R, N, n_cp, dim) atom store of a full_atoms run) and
-    paths.bin when the run has them.  Snapshot weights are not stored; the
-    manifest is replaced in one step, and says complete only at the end.
+    """Persist a run in schema spoc-run-v3: manifest.json, summary.csv, and
+    atoms.bin when the run keeps an atom store: RunResult.atoms, of shape
+    (R, N, columns, dim), whose columns are the grid indices of
+    config.store_columns (every grid index for a store_paths run).  Snapshot
+    weights are not stored; the manifest is replaced in one step, and says
+    complete only at the end.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1173,27 +1176,22 @@ def save_run(result: RunResult, out_dir) -> None:
                 lines.append(",".join(row))
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
 
-    for name, magic, arr in (("atoms.bin", _ATOMS_MAGIC, result.snapshots.atoms_cp),
-                             ("paths.bin", _PATHS_MAGIC, result.paths)):
-        if arr is not None:
-            with open(out / name, "wb") as fh:
-                fh.write(magic)
-                fh.write(struct.pack("<I4Q", 1, *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype=float).tobytes())
-        else:  # left by an earlier run in the same directory
-            (out / name).unlink(missing_ok=True)
+    # binary files of an earlier run in the same directory, such as the
+    # separate paths file of a spoc-run-v2 run
+    for old in out.glob("*.bin"):
+        old.unlink()
+    if result.atoms is not None:
+        with open(out / "atoms.bin", "wb") as fh:
+            fh.write(_atoms_head(result.config)[0])
+            result.atoms.tofile(fh)
 
     manifest["complete"] = True
     _write_manifest(out, manifest)
 
 
-def load_paths(path) -> np.ndarray:
-    return _read_array(path, _PATHS_MAGIC, "path-array")
-
-
 def load_run(out_dir) -> RunResult:
     """Reload a run saved by save_run (builtin models only); any schema other
-    than spoc-run-v2 raises RunFormatError.  Summary precision is repr-exact,
+    than spoc-run-v3 raises RunFormatError.  Summary precision is repr-exact,
     and the snapshot view over atoms.bin recomputes the weights from the
     config, so every snapshot equals the saved run's bit for bit.
     """
@@ -1214,9 +1212,7 @@ def load_run(out_dir) -> RunResult:
     table = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1, ndmin=2)
     mean_traj = table[:, 3 : 3 + dim].reshape(shape + (dim,))
     second_traj = table[:, 3 + dim].reshape(shape)
-    full_atoms = config.measure_backend == "full_atoms"
-    atoms_cp = _read_array(out / "atoms.bin", _ATOMS_MAGIC, "atom-store") if full_atoms else None
-    paths = load_paths(out / "paths.bin") if (out / "paths.bin").exists() else None
+    atoms = _read_array(out / "atoms.bin", config) if config.store_columns else None
     return RunResult(
         config=config,
         algorithm=algorithm,
@@ -1224,8 +1220,7 @@ def load_run(out_dir) -> RunResult:
         milestones=milestones,
         mean_traj=mean_traj,
         second_traj=second_traj,
-        snapshots=RunSnapshots(config, algorithm, milestones, mean_traj, second_traj, atoms_cp),
-        paths=paths,
+        atoms=atoms,
         wall_time_s=None,
         n_steps=manifest["n_steps"],
     )

@@ -56,29 +56,41 @@ def test_simulate_rerun_reproduces_outputs_bitwise(tmp_path):
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
     files = sorted(str(p.relative_to(out1)) for p in out1.rglob("*") if p.is_file())
     assert files == sorted(str(p.relative_to(out2)) for p in out2.rglob("*") if p.is_file())
-    assert {"manifest.json", "summary.csv", "paths.bin"} <= set(files)
+    # the paths are the atom store's full grid, in atoms.bin
+    assert set(files) == {"manifest.json", "summary.csv", "atoms.bin"}
     for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_simulate_redoes_a_run_of_the_old_schema(tmp_path, capsys):
     cfg = write_config(tmp_path, measure_backend="full_atoms", N=60, milestones=[20, 60])
-    out = tmp_path / "run"
+    paths_cfg = write_config(tmp_path, "paths.json", N=60, milestones=[20, 60],
+                             store_paths=True)
+    out, paths_out = tmp_path / "run", tmp_path / "paths_run"
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert dispatch(["simulate", "--config", str(paths_cfg), "--out", str(paths_out)]) == 0
+    fresh = (paths_out / "atoms.bin").read_bytes()
     # the same complete run as spoc-run-v1 left it: one CSV per snapshot, no atoms.bin
     manifest = json.loads((out / "manifest.json").read_text())
     (out / "manifest.json").write_text(json.dumps({**manifest, "schema": "spoc-run-v1"}))
     (out / "atoms.bin").unlink()
     (out / "snapshots").mkdir()
     (out / "snapshots" / "rep0_n20_m30.csv").write_text("x0,weight\n1.0,1.0\n")
-    capsys.readouterr()
-    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "nothing to do" not in capsys.readouterr().out
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["schema"] == "spoc-run-v2" and manifest["complete"] is True
-    assert (out / "atoms.bin").exists()
-    assert not (out / "snapshots").exists()
-    assert not (out / "manifest.json.tmp").exists()
+    # the paths run as spoc-run-v2 left it: the checkpoint columns in atoms.bin,
+    # every grid column in paths.bin
+    manifest = json.loads((paths_out / "manifest.json").read_text())
+    (paths_out / "manifest.json").write_text(json.dumps({**manifest, "schema": "spoc-run-v2"}))
+    (paths_out / "atoms.bin").write_bytes(fresh[:44] + fresh[44:][: len(fresh[44:]) // 31])
+    (paths_out / "paths.bin").write_bytes(b"SPOCPATH" + fresh[8:])
+    for c, o in ((cfg, out), (paths_cfg, paths_out)):
+        capsys.readouterr()
+        assert dispatch(["simulate", "--config", str(c), "--out", str(o)]) == 0
+        assert "nothing to do" not in capsys.readouterr().out
+        manifest = json.loads((o / "manifest.json").read_text())
+        assert manifest["schema"] == "spoc-run-v3" and manifest["complete"] is True
+        assert sorted(p.name for p in o.iterdir()) == ["atoms.bin", "manifest.json",
+                                                       "summary.csv"]
+    assert (paths_out / "atoms.bin").read_bytes() == fresh
 
 
 def test_config_error_unknown_key(tmp_path, capsys):

@@ -24,7 +24,7 @@ from spoc import (
     spoc_run,
 )
 from spoc.rng import BlockStream, block_width, replication_stream
-from spoc.simulate import MomentView, _em_step, _versions, load_paths
+from spoc.simulate import MomentView, _em_step, _versions
 
 
 def ou_config(**kw):
@@ -317,6 +317,20 @@ def test_classical_single_particle_sees_itself():
     assert snap.n_atoms == 1
     # decoupled dynamics: drift -2x - x = -3x, sigma = 2 - |x|
     assert res.mean_traj.shape == (1, 1, 1, 1)
+
+
+def test_classical_run_keeps_its_paths(tmp_path):
+    cfg = ou_config(N=50, M=10, replications=2, milestones=(50,), checkpoints=(0.3, 1.0),
+                    store_paths=True)
+    res = classical_poc_run(cfg)
+    assert res.paths.shape == (2, 50, 11, 1)
+    for (r, n, m), snap in res.snapshots.items():
+        assert np.array_equal(snap.atoms, res.paths[r, :n, m])
+    save_run(res, tmp_path / "run")
+    back = load_run(tmp_path / "run")
+    assert np.array_equal(back.paths, res.paths)
+    for k, snap in res.snapshots.items():
+        assert np.array_equal(back.snapshots[k].atoms, snap.atoms)
 
 
 def test_classical_close_to_sequential_at_matched_budget():
@@ -685,10 +699,11 @@ def test_save_load_round_trip(tmp_path):
     for k, v in res.snapshots.items():
         assert np.array_equal(back.snapshots[k].atoms, v.atoms)
         assert np.array_equal(back.snapshots[k].weights, v.weights)
-    assert (tmp_path / "run" / "manifest.json").exists()
-    assert (tmp_path / "run" / "paths.bin").exists()
-    arr = load_paths(tmp_path / "run" / "paths.bin")
-    assert np.array_equal(arr, res.paths)
+    # one atom store, every grid column of it, in one file
+    assert back.atoms is back.paths and back.paths.shape == (2, 50, 31, 1)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["atoms.bin",
+                                                                      "manifest.json",
+                                                                      "summary.csv"]
 
 
 def test_snapshot_weights_round_trip_bit_for_bit(tmp_path):
@@ -711,15 +726,27 @@ _ROUND_TRIP_RUNS = {
                                                                 checkpoints=(0.5, 1.0))),
     "workers_2": lambda: spoc_run(ou_config(N=90, M=6, replications=3, milestones=(30, 90)),
                                   workers=2),
+    "wavefront_paths": lambda: spoc_run(ou_config(N=60, M=6, milestones=(7, 60),
+                                                  checkpoints=(0.5, 1.0), store_paths=True)),
+    "batch_paths": lambda: batch_spoc_run(ou_config(N=60, M=6, batch_sizes=(1, 9, 50),
+                                                    milestones=(10, 60), store_paths=True)),
+    "full_measure_paths": lambda: spoc_run(ou_config(model=ou_full_measure_model(), N=30, M=5,
+                                                     milestones=(10, 30), checkpoints=(0.4, 1.0),
+                                                     store_paths=True)),
+    "classical_paths": lambda: classical_poc_run(ou_config(N=40, M=6, milestones=(40,),
+                                                           checkpoints=(0.5,), store_paths=True)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ROUND_TRIP_RUNS))
-def test_round_trip_snapshots_bit_for_bit(tmp_path, case):
+def test_round_trip_snapshots_bit_for_bit(tmp_path, monkeypatch, case):
     res = _ROUND_TRIP_RUNS[case]()
     expected = res
     if case == "workers_2":
         expected = spoc_run(res.config, workers=1)
+    if res.config.model.name == "ou_full":  # load_run rebuilds builtin models only
+        monkeypatch.setattr(ModelSpec, "from_dict",
+                            classmethod(lambda cls, d: ou_full_measure_model()))
     save_run(res, tmp_path / "run")
     back = load_run(tmp_path / "run")
     assert (tmp_path / "run" / "atoms.bin").exists()
@@ -728,14 +755,22 @@ def test_round_trip_snapshots_bit_for_bit(tmp_path, case):
     for k, snap in expected.snapshots.items():
         assert np.array_equal(back.snapshots[k].atoms, snap.atoms), k
         assert np.array_equal(back.snapshots[k].weights, snap.weights), k
+    if res.config.store_paths:
+        cfg = res.config
+        assert back.paths.shape == (cfg.replications, cfg.N, cfg.M + 1, cfg.model.dim)
+        assert np.array_equal(back.paths, expected.paths)
+    else:
+        assert back.paths is None and expected.paths is None
 
 
 def test_save_run_removes_files_the_run_does_not_have(tmp_path):
     save_run(spoc_run(ou_config(N=20, milestones=(20,), store_paths=True)), tmp_path / "run")
+    # a spoc-run-v2 run kept its paths in a second file
+    (tmp_path / "run" / "paths.bin").write_bytes(b"SPOCPATH")
     save_run(spoc_run(ou_config(N=20, milestones=(20,), measure_backend="summary_only")),
              tmp_path / "run")
     back = load_run(tmp_path / "run")
-    assert back.paths is None and back.snapshots.atoms_cp is None
+    assert back.paths is None and back.atoms is None
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.json",
                                                                       "summary.csv"]
 
@@ -763,9 +798,12 @@ def test_load_run_reads_a_schedule_horizon_of_n(tmp_path):
 def test_load_run_rejects_other_schema(tmp_path):
     save_run(spoc_run(ou_config(N=20, milestones=(20,))), tmp_path / "run")
     manifest = tmp_path / "run" / "manifest.json"
-    manifest.write_text(manifest.read_text().replace("spoc-run-v2", "spoc-run-v1"))
-    with pytest.raises(RunFormatError, match="spoc-run-v1"):
-        load_run(tmp_path / "run")
+    text = manifest.read_text()
+    # a spoc-run-v2 atoms.bin held checkpoint columns only, even in a paths run
+    for old in ("spoc-run-v1", "spoc-run-v2"):
+        manifest.write_text(text.replace("spoc-run-v3", old))
+        with pytest.raises(RunFormatError, match=old):
+            load_run(tmp_path / "run")
 
 
 def test_versions_record_the_installed_scipy():

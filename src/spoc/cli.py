@@ -36,6 +36,7 @@ from .simulate import (
     MEASURE_BACKENDS,
     RUN_SCHEMA,
     SimConfig,
+    atoms_intact,
     batch_spoc_run,
     classical_poc_run,
     reference_run,
@@ -217,11 +218,13 @@ def _cmd_simulate(cfg: dict, args) -> int:
         previous = json.loads((out / "manifest.json").read_text())
     except (OSError, ValueError):
         previous = None  # missing or unreadable: the run is redone
-    # a run saved in another schema is redone as well
+    # a run saved in another schema is redone as well, and so is one whose
+    # atoms.bin is missing or cut short
     if isinstance(previous, dict) and previous.get("schema") == RUN_SCHEMA \
             and previous.get("complete") \
             and previous.get("config") == config.to_dict() \
-            and previous.get("algorithm") == algorithm:
+            and previous.get("algorithm") == algorithm \
+            and atoms_intact(out, config):
         print(f"run already complete in {out}; nothing to do")
         return 0
     # looked up per call, so that a runner replaced on this module is the one run

@@ -21,6 +21,7 @@ of the output.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import struct
@@ -233,6 +234,12 @@ class SimConfig:
         object.__setattr__(self, "checkpoint_indices", tuple(idx))
         ms = self.milestones if self.milestones is not None else (self.N,)
         object.__setattr__(self, "milestones", check_milestones(ms, self.N))
+        if self.batch_sizes is not None:
+            ends = set(np.cumsum(self.batch_sizes).tolist())
+            bad = [n for n in self.milestones if n not in ends]
+            if bad:
+                raise ConfigError(f"milestones {bad} do not align with batch boundaries",
+                                  key="milestones")
 
     @property
     def dt(self) -> float:
@@ -685,12 +692,6 @@ def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
 
     batches = config.batch_sizes or (1,) * N
     starts = [0, *np.cumsum(batches).tolist()]
-    if config.batch_sizes is not None:
-        bad = [n for n in milestones if n not in set(starts)]
-        if bad:
-            raise ConfigError(
-                f"milestones {bad} do not align with batch boundaries", key="milestones"
-            )
 
     width = block_width(dim, M, init.needs_noise, dual)
     streams = [BlockStream(replication_stream(config.seed, r), width) for r in rep_ids]
@@ -1123,19 +1124,33 @@ def _write_manifest(out: Path, manifest: dict) -> None:
     os.replace(tmp, out / "manifest.json")
 
 
-def _atoms_head(config: SimConfig) -> tuple[bytes, tuple[int, ...]]:
+def _atoms_layout(config: SimConfig) -> tuple[bytes, tuple[int, ...]]:
     """The head of a run's atoms.bin (an 8-byte magic, a format version and the
     shape (R, N, kept columns, dim) of its atom store) and that shape."""
     shape = (config.replications, config.N, len(config.store_columns), config.model.dim)
     return _ATOMS_MAGIC + struct.pack("<I4Q", 1, *shape), shape
 
 
-def _read_array(path: Path, config: SimConfig) -> np.ndarray:
-    """The atom store of a run of config, read from atoms.bin at path."""
-    head, shape = _atoms_head(config)
-    with open(path, "rb") as fh:
-        fh.seek(len(head))
-        return np.fromfile(fh, dtype=float).reshape(shape)
+def atoms_intact(out_dir, config: SimConfig) -> bool:
+    """Whether the atoms.bin in out_dir has the byte size that save_run writes
+    for a run of config, which is no file for a run without an atom store; a
+    stat, not a read."""
+    head, shape = _atoms_layout(config)
+    path = Path(out_dir) / "atoms.bin"
+    size = len(head) + 8 * math.prod(shape) if shape[2] else 0
+    return (path.stat().st_size if path.exists() else 0) == size
+
+
+def _read_array(out: Path, config: SimConfig) -> np.ndarray:
+    """The atom store of a run of config, read from the atoms.bin in out; a
+    file that is missing or of another head or size raises RunFormatError."""
+    head, shape = _atoms_layout(config)
+    if atoms_intact(out, config):
+        with open(out / "atoms.bin", "rb") as fh:
+            if fh.read(len(head)) == head:
+                return np.fromfile(fh, dtype=float).reshape(shape)
+    raise RunFormatError(f"{out / 'atoms.bin'} is missing or not an atom store of shape "
+                         f"{shape}; rerun it")
 
 
 def save_run(result: RunResult, out_dir) -> None:
@@ -1182,7 +1197,7 @@ def save_run(result: RunResult, out_dir) -> None:
         old.unlink()
     if result.atoms is not None:
         with open(out / "atoms.bin", "wb") as fh:
-            fh.write(_atoms_head(result.config)[0])
+            fh.write(_atoms_layout(result.config)[0])
             result.atoms.tofile(fh)
 
     manifest["complete"] = True
@@ -1191,9 +1206,11 @@ def save_run(result: RunResult, out_dir) -> None:
 
 def load_run(out_dir) -> RunResult:
     """Reload a run saved by save_run (builtin models only); any schema other
-    than spoc-run-v3 raises RunFormatError.  Summary precision is repr-exact,
-    and the snapshot view over atoms.bin recomputes the weights from the
-    config, so every snapshot equals the saved run's bit for bit.
+    than spoc-run-v3 raises RunFormatError, and so does an atoms.bin that is
+    missing or not of the shape (R, N, kept columns, dim) the config implies.
+    Summary precision is repr-exact, and the snapshot view over atoms.bin
+    recomputes the weights from the config, so every snapshot equals the
+    saved run's bit for bit.
     """
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -1212,7 +1229,7 @@ def load_run(out_dir) -> RunResult:
     table = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1, ndmin=2)
     mean_traj = table[:, 3 : 3 + dim].reshape(shape + (dim,))
     second_traj = table[:, 3 + dim].reshape(shape)
-    atoms = _read_array(out / "atoms.bin", config) if config.store_columns else None
+    atoms = _read_array(out, config) if config.store_columns else None
     return RunResult(
         config=config,
         algorithm=algorithm,

@@ -93,6 +93,25 @@ def test_simulate_redoes_a_run_of_the_old_schema(tmp_path, capsys):
     assert (paths_out / "atoms.bin").read_bytes() == fresh
 
 
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_simulate_redoes_a_run_with_a_broken_atom_store(tmp_path, capsys, damage):
+    cfg = write_config(tmp_path, N=60, milestones=[20, 60], store_paths=True)
+    out = tmp_path / "run"
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    fresh = (out / "atoms.bin").read_bytes()
+    if damage == "missing":
+        (out / "atoms.bin").unlink()
+    else:
+        (out / "atoms.bin").write_bytes(fresh[:-8])
+    capsys.readouterr()
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "nothing to do" not in capsys.readouterr().out
+    assert (out / "atoms.bin").read_bytes() == fresh
+    # an intact store is not redone
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "nothing to do" in capsys.readouterr().out
+
+
 def test_config_error_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, bogus_key=12)
     code = dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])

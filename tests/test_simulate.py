@@ -23,6 +23,7 @@ from spoc import (
     save_run,
     spoc_run,
 )
+from spoc.cli import dispatch
 from spoc.rng import BlockStream, block_width, replication_stream
 from spoc.simulate import MomentView, _em_step, _versions
 
@@ -119,7 +120,8 @@ def test_only_runs_that_read_rates_check_the_schedule():
 
 
 def test_config_dict_round_trip():
-    cfg = ou_config(batch_sizes=(200, 200), store_paths=True)
+    # milestones on batch boundaries: SimConfig rejects any others
+    cfg = ou_config(batch_sizes=(200, 200), milestones=(200, 400), store_paths=True)
     back = SimConfig.from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
 
@@ -289,10 +291,23 @@ def test_batch_moments_are_the_snapshot_moments(batch_sizes, initial):
             assert abs(res.second_traj[r, l, -1] - moment(snap, 2)) <= 1e-10
 
 
-def test_batch_milestones_must_align():
-    cfg = ou_config(N=4, batch_sizes=(2, 2), milestones=(3,))
-    with pytest.raises(ConfigError):
-        batch_spoc_run(cfg)
+def test_batch_milestones_must_align(tmp_path, capsys):
+    # the config rejects them, before any run or worker process starts
+    with pytest.raises(ConfigError) as exc_info:
+        ou_config(N=4, batch_sizes=(2, 2), milestones=(3,))
+    assert exc_info.value.key == "milestones"
+    with pytest.raises(ConfigError) as exc_info:
+        ou_config(N=20, batch_sizes=(5, 15), milestones=(7, 20))
+    assert exc_info.value.key == "milestones" and "[7]" in str(exc_info.value)
+    assert ou_config(N=20, batch_sizes=(5, 15), milestones=(5, 20)).milestones == (5, 20)
+    cfg = {**ou_config(N=20, milestones=(20,)).to_dict(), "algorithm": "batch_spoc",
+           "batch_sizes": [5, 15], "milestones": [7, 20]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+    assert dispatch(argv + ["--workers", "2"]) == 2
+    assert "[milestones]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_single_batch_is_frozen_initial_sample():
@@ -317,20 +332,6 @@ def test_classical_single_particle_sees_itself():
     assert snap.n_atoms == 1
     # decoupled dynamics: drift -2x - x = -3x, sigma = 2 - |x|
     assert res.mean_traj.shape == (1, 1, 1, 1)
-
-
-def test_classical_run_keeps_its_paths(tmp_path):
-    cfg = ou_config(N=50, M=10, replications=2, milestones=(50,), checkpoints=(0.3, 1.0),
-                    store_paths=True)
-    res = classical_poc_run(cfg)
-    assert res.paths.shape == (2, 50, 11, 1)
-    for (r, n, m), snap in res.snapshots.items():
-        assert np.array_equal(snap.atoms, res.paths[r, :n, m])
-    save_run(res, tmp_path / "run")
-    back = load_run(tmp_path / "run")
-    assert np.array_equal(back.paths, res.paths)
-    for k, snap in res.snapshots.items():
-        assert np.array_equal(back.snapshots[k].atoms, snap.atoms)
 
 
 def test_classical_close_to_sequential_at_matched_budget():
@@ -759,6 +760,8 @@ def test_round_trip_snapshots_bit_for_bit(tmp_path, monkeypatch, case):
         cfg = res.config
         assert back.paths.shape == (cfg.replications, cfg.N, cfg.M + 1, cfg.model.dim)
         assert np.array_equal(back.paths, expected.paths)
+        for (r, n, m), snap in expected.snapshots.items():  # the checkpoint columns
+            assert np.array_equal(snap.atoms, expected.paths[r, :n, m]), (r, n, m)
     else:
         assert back.paths is None and expected.paths is None
 
@@ -773,6 +776,21 @@ def test_save_run_removes_files_the_run_does_not_have(tmp_path):
     assert back.paths is None and back.atoms is None
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.json",
                                                                       "summary.csv"]
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "other_shape"])
+def test_load_run_rejects_a_broken_atom_store(tmp_path, damage):
+    save_run(spoc_run(ou_config(N=20, milestones=(20,), store_paths=True)), tmp_path / "run")
+    atoms = tmp_path / "run" / "atoms.bin"
+    if damage == "missing":
+        atoms.unlink()
+    elif damage == "truncated":
+        atoms.write_bytes(atoms.read_bytes()[:-3])
+    else:  # a whole store, of a run with one particle fewer
+        save_run(spoc_run(ou_config(N=19, milestones=(19,), store_paths=True)), tmp_path / "b")
+        atoms.write_bytes((tmp_path / "b" / "atoms.bin").read_bytes())
+    with pytest.raises(RunFormatError, match="atoms.bin"):
+        load_run(tmp_path / "run")
 
 
 def test_load_run_reads_a_schedule_horizon_of_n(tmp_path):

@@ -34,12 +34,11 @@ from .simulate import (
     ALGO_SPOC,
     INITIAL_KINDS,
     MEASURE_BACKENDS,
-    RUN_SCHEMA,
     SimConfig,
-    atoms_intact,
     batch_spoc_run,
     classical_poc_run,
     reference_run,
+    run_complete,
     save_run,
     spoc_run,
 )
@@ -214,17 +213,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
     config = _build_sim_config(cfg, args)
     out = _out_dir(args, make=False)  # save_run makes it
     algorithm = cfg.get("algorithm", ALGO_SPOC)
-    try:
-        previous = json.loads((out / "manifest.json").read_text())
-    except (OSError, ValueError):
-        previous = None  # missing or unreadable: the run is redone
-    # a run saved in another schema is redone as well, and so is one whose
-    # atoms.bin is missing or cut short
-    if isinstance(previous, dict) and previous.get("schema") == RUN_SCHEMA \
-            and previous.get("complete") \
-            and previous.get("config") == config.to_dict() \
-            and previous.get("algorithm") == algorithm \
-            and atoms_intact(out, config):
+    if run_complete(out, config, algorithm):
         print(f"run already complete in {out}; nothing to do")
         return 0
     # looked up per call, so that a runner replaced on this module is the one run

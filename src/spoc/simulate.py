@@ -400,16 +400,6 @@ def _em_step(model: ModelSpec, t, x: np.ndarray, view, dw: np.ndarray, db, dt: f
     return x
 
 
-def _blowup_error(particle: int, step: int, replication: int) -> BlowUpError:
-    return BlowUpError(
-        f"particle {particle} left the stable region at step {step} "
-        f"(replication {replication}): |x| > {BLOWUP_LIMIT:g} or non-finite",
-        particle=particle,
-        step=step,
-        replication=replication,
-    )
-
-
 def _check_finite_path(block: np.ndarray, step0: int, particle0: int, rep_ids) -> None:
     """block: (steps, R, particles, dim), starting at grid step step0 and at
     1-based particle particle0.  Raises BlowUpError for the first bad cell in
@@ -418,7 +408,10 @@ def _check_finite_path(block: np.ndarray, step0: int, particle0: int, rep_ids) -
         return
     ok = np.isfinite(block).all(axis=3) & (np.abs(block).max(axis=3) <= BLOWUP_LIMIT)
     m, r, p = (int(i) for i in np.argwhere(~ok)[0])
-    raise _blowup_error(particle0 + p, step0 + m, rep_ids[r])
+    particle, step, replication = particle0 + p, step0 + m, rep_ids[r]
+    raise BlowUpError(f"particle {particle} left the stable region at step {step} "
+                      f"(replication {replication}): |x| > {BLOWUP_LIMIT:g} or non-finite",
+                      particle=particle, step=step, replication=replication)
 
 
 def _milestone_weights(config: SimConfig, algorithm: str, milestones) -> list[np.ndarray]:
@@ -427,8 +420,9 @@ def _milestone_weights(config: SimConfig, algorithm: str, milestones) -> list[np
     if algorithm == ALGO_CLASSICAL:
         return [np.full(n, 1.0 / n) for n in milestones]
     weights = measure_weights(config.schedule, config.N, config.batch_sizes)
-    ks = np.searchsorted(np.cumsum(config.batch_sizes or (1,) * config.N), milestones) + 1
-    return [weights(k) for k in ks]  # k batches hold the first n atoms
+    ks = milestones if config.batch_sizes is None else (  # k batches hold the first n atoms
+        np.searchsorted(np.cumsum(config.batch_sizes), milestones) + 1)
+    return [weights(k) for k in ks]
 
 
 class RunSnapshots(Mapping):
@@ -487,7 +481,8 @@ def _merge_chunks(parts: list[dict]) -> dict:
 # -- core drivers ------------------------------------------------------------
 
 
-def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) -> dict:
+def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None,
+                     check_paths: bool = False) -> dict:
     """Simulate one replication chunk of a sequential run of a moment-interaction
     model, one anti-diagonal of (particle, grid time) cells at a time.
 
@@ -501,14 +496,16 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
     particle-by-particle loop, so the bits are the same.  Replications evolve
     in lockstep along a vector axis, so chunking is bit-neutral.
 
-    The finite check reads the whole path ring once every M + 1 waves and
-    after the last one; a cell stays in the ring for M + 1 waves, so each is
-    read before it is overwritten.  When the check fails, the waves go on
-    until every particle below the lowest bad one has completed, checking the
-    ring again then: particles never read a higher particle's state, so the
-    error names the lowest bad particle, its first bad step and then the
-    lowest replication, as a check of each path at completion would.
-    Particle 1 never moves and is not checked.
+    The finite check of the first pass only detects: it reads the whole path
+    ring once every M + 1 waves and after the last one, and a cell stays in
+    the ring for M + 1 waves, so no bad value is missed.  The ring cannot tell
+    which in-flight particle is the lowest bad one (a higher one can go bad on
+    an earlier wave), so on a failure the chunk reruns from wave 0 with
+    check_paths, which checks each path with _check_finite_path on the wave
+    its particle completes.  Particles complete in order, so the error names
+    the lowest bad particle, its first bad step and then the lowest
+    replication, as every driver does.  Particle 1 never moves and is not
+    checked: if it alone was out of range, the rerun returns the same bits.
 
     When ref_moments is given (coupled runs), each particle has a companion
     driven by the reference moment curves with the same increments, stepped
@@ -575,7 +572,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
         # before t_0
         gap_sums = np.zeros((2, M + 2, Rc))
 
-    first_bad = stop = None  # lowest (particle, step, replication) out of range, 0-based
     # overflow on a diverging path is caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(N + M):
@@ -623,18 +619,15 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
                        trap_w[lo : hi + 1] * np.add.reduce(np.square(diff), axis=2),
                        out=gap_sums[w % 2, lo + 1 : hi + 2])
 
-            if w % S == M or w == N + M - 1 or w == stop:
-                if not np.abs(xs).max() <= BLOWUP_LIMIT:  # a NaN maximum fails this too
-                    found = (first_bad, _ring_first_bad(xs, w, N))
-                    first_bad = min(filter(None, found), default=None)
-                    # the wave on which the last particle below it completes
-                    stop = None if first_bad is None else first_bad[0] - 1 + M
-                if stop is not None and w >= stop:
-                    raise _blowup_error(first_bad[0] + 1, first_bad[1], rep_ids[first_bad[2]])
+            if not check_paths and (w % S == M or w == N + M - 1) \
+                    and not np.abs(xs).max() <= BLOWUP_LIMIT:  # a NaN maximum fails this too
+                return _wavefront_chunk(config, rep_ids, ref_moments, check_paths=True)
 
             k = w - M  # particle index k (0-based) has its whole path now
             if k < 0:
                 continue
+            if check_paths and k > 0:
+                _check_finite_path(xs[prows[k % S], cols][:, :, None], 0, k + 1, rep_ids)
             if store is not None:
                 store[:, k] = xs[store_rows[k % S], kept].transpose(1, 0, 2)
             if coupled:
@@ -653,22 +646,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None) ->
         "gap_last": gap_last if coupled else None,
         "n_steps": M * (N - 1) * Rc,
     }
-
-
-def _ring_first_bad(xs: np.ndarray, w: int, N: int):
-    """Lowest (particle, step, replication), all 0-based, of an out-of-range
-    cell of the path ring xs (S, M+1, R, dim) at the end of wave w, or None.
-
-    Lane j >= 1 of row r holds the last anti-diagonal d <= w + 1 with
-    d % S == r, particle d - j, and lane 0 the particle that entered on the
-    last wave v <= w with v % S == r.  Cells of particle 0, which never
-    moves, and lanes that no wave wrote on that diagonal are skipped."""
-    S = xs.shape[0]
-    rows, lanes, reps = np.nonzero(~(np.abs(xs).max(axis=3) <= BLOWUP_LIMIT))
-    top = np.where(lanes > 0, w + 1, w)
-    k = top - (top - rows) % S - lanes
-    keep = (k > 0) & (k < N)
-    return min(zip(k[keep].tolist(), lanes[keep].tolist(), reps[keep].tolist()), default=None)
 
 
 def _sequential_chunk(config: SimConfig, rep_ids: list[int]) -> dict:
@@ -839,7 +816,8 @@ def _scan_order(config: SimConfig, algorithm: str, err: Exception) -> tuple:
         return ()
     if algorithm == ALGO_CLASSICAL:
         return err.step, err.replication, err.particle
-    batch = int(np.searchsorted(np.cumsum(config.batch_sizes or (1,) * config.N), err.particle))
+    batch = err.particle - 1 if config.batch_sizes is None else (  # 0-based
+        int(np.searchsorted(np.cumsum(config.batch_sizes), err.particle)))
     return batch, err.step, err.replication, err.particle
 
 
@@ -920,8 +898,9 @@ def classical_poc_run(config: SimConfig, workers: int = 1) -> RunResult:
     """Classical mean-field run: all N particles advance simultaneously against
     the current empirical measure (the one-shot baseline; changing N means
     recomputing the whole system)."""
-    cfg = config if config.batch_sizes is None else replace(config, batch_sizes=None)
-    return _execute(cfg, ALGO_CLASSICAL, workers)[0]
+    if config.batch_sizes is not None:
+        raise ConfigError("classical runs take no batch_sizes", key="batch_sizes")
+    return _execute(config, ALGO_CLASSICAL, workers)[0]
 
 
 # -- reference solutions ------------------------------------------------------
@@ -1131,12 +1110,12 @@ def _atoms_layout(config: SimConfig) -> tuple[bytes, tuple[int, ...]]:
     return _ATOMS_MAGIC + struct.pack("<I4Q", 1, *shape), shape
 
 
-def atoms_intact(out_dir, config: SimConfig) -> bool:
-    """Whether the atoms.bin in out_dir has the byte size that save_run writes
-    for a run of config, which is no file for a run without an atom store; a
-    stat, not a read."""
+def _atoms_intact(out: Path, config: SimConfig) -> bool:
+    """Whether the atoms.bin in out has the byte size that save_run writes for
+    a run of config, which is no file for a run without an atom store; a stat,
+    not a read."""
     head, shape = _atoms_layout(config)
-    path = Path(out_dir) / "atoms.bin"
+    path = out / "atoms.bin"
     size = len(head) + 8 * math.prod(shape) if shape[2] else 0
     return (path.stat().st_size if path.exists() else 0) == size
 
@@ -1145,12 +1124,47 @@ def _read_array(out: Path, config: SimConfig) -> np.ndarray:
     """The atom store of a run of config, read from the atoms.bin in out; a
     file that is missing or of another head or size raises RunFormatError."""
     head, shape = _atoms_layout(config)
-    if atoms_intact(out, config):
+    if _atoms_intact(out, config):
         with open(out / "atoms.bin", "rb") as fh:
             if fh.read(len(head)) == head:
                 return np.fromfile(fh, dtype=float).reshape(shape)
     raise RunFormatError(f"{out / 'atoms.bin'} is missing or not an atom store of shape "
                          f"{shape}; rerun it")
+
+
+def _read_summary(out: Path, shape: tuple[int, int, int], dim: int):
+    """mean_traj (R, L, C, dim) and second_traj (R, L, C) from out's summary.csv:
+    a header, then one row per (replication, milestone, checkpoint) in order,
+    each line ending in a newline; anything else raises RunFormatError."""
+    path, rows = out / "summary.csv", math.prod(shape)
+    try:
+        lines = path.read_text().split("\n")
+        if len(lines) == rows + 2 and not lines[-1]:  # a cut file is short or lacks its newline
+            table = np.loadtxt(lines[1:-1], delimiter=",", ndmin=2)
+            if table.shape[1] == 4 + dim:
+                return (table[:, 3 : 3 + dim].reshape(shape + (dim,)),
+                        table[:, 3 + dim].reshape(shape))
+    except (OSError, ValueError):
+        pass
+    raise RunFormatError(f"{path} is missing or not the {rows} summary rows of the run; rerun it")
+
+
+def run_complete(out_dir, config: SimConfig, algorithm: str) -> bool:
+    """Whether out_dir holds a finished spoc-run-v3 run of config and algorithm
+    that load_run reads: its atoms.bin of the implied byte size (a stat) and
+    its summary.csv whole.  An interrupted or damaged run is one to redo."""
+    out = Path(out_dir)
+    try:
+        manifest = json.loads((out / "manifest.json").read_text())
+        found = [manifest[k] for k in ("schema", "complete", "config", "algorithm")]
+        if found != [RUN_SCHEMA, True, config.to_dict(), algorithm] \
+                or not _atoms_intact(out, config):
+            return False
+        shape = (config.replications, len(manifest["milestones"]), len(config.checkpoints))
+        _read_summary(out, shape, config.model.dim)
+    except (OSError, ValueError, LookupError, TypeError, RunFormatError):
+        return False  # missing, unreadable or damaged
+    return True
 
 
 def save_run(result: RunResult, out_dir) -> None:
@@ -1206,11 +1220,11 @@ def save_run(result: RunResult, out_dir) -> None:
 
 def load_run(out_dir) -> RunResult:
     """Reload a run saved by save_run (builtin models only); any schema other
-    than spoc-run-v3 raises RunFormatError, and so does an atoms.bin that is
-    missing or not of the shape (R, N, kept columns, dim) the config implies.
-    Summary precision is repr-exact, and the snapshot view over atoms.bin
-    recomputes the weights from the config, so every snapshot equals the
-    saved run's bit for bit.
+    than spoc-run-v3 raises RunFormatError, and so does a summary.csv that is
+    missing or short, or an atoms.bin that is missing or not of the shape
+    (R, N, kept columns, dim) the config implies.  Summary precision is
+    repr-exact, and the snapshot view over atoms.bin recomputes the weights
+    from the config, so every snapshot equals the saved run's bit for bit.
     """
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -1224,11 +1238,7 @@ def load_run(out_dir) -> RunResult:
     algorithm = manifest["algorithm"]
     milestones = tuple(manifest["milestones"])
     shape = (manifest["replications"], len(milestones), len(config.checkpoints))
-    dim = config.model.dim
-    # save_run writes one row per (replication, milestone, checkpoint), in order
-    table = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1, ndmin=2)
-    mean_traj = table[:, 3 : 3 + dim].reshape(shape + (dim,))
-    second_traj = table[:, 3 + dim].reshape(shape)
+    mean_traj, second_traj = _read_summary(out, shape, config.model.dim)
     atoms = _read_array(out, config) if config.store_columns else None
     return RunResult(
         config=config,

@@ -9,6 +9,7 @@ import pytest
 import spoc
 from spoc.battery import run_battery
 from spoc.cli import dispatch
+from spoc.simulate import load_run
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -93,20 +94,28 @@ def test_simulate_redoes_a_run_of_the_old_schema(tmp_path, capsys):
     assert (paths_out / "atoms.bin").read_bytes() == fresh
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "missing_summary",
+                                    "truncated_summary"])
 def test_simulate_redoes_a_run_with_a_broken_atom_store(tmp_path, capsys, damage):
     cfg = write_config(tmp_path, N=60, milestones=[20, 60], store_paths=True)
     out = tmp_path / "run"
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     fresh = (out / "atoms.bin").read_bytes()
+    summary = (out / "summary.csv").read_text()
     if damage == "missing":
         (out / "atoms.bin").unlink()
-    else:
+    elif damage == "truncated":
         (out / "atoms.bin").write_bytes(fresh[:-8])
+    elif damage == "missing_summary":
+        (out / "summary.csv").unlink()
+    else:  # the last row cut off whole
+        (out / "summary.csv").write_text(summary[: summary.rstrip("\n").rindex("\n") + 1])
     capsys.readouterr()
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert "nothing to do" not in capsys.readouterr().out
     assert (out / "atoms.bin").read_bytes() == fresh
+    assert (out / "summary.csv").read_text() == summary
+    load_run(out)
     # an intact store is not redone
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert "nothing to do" in capsys.readouterr().out
@@ -187,6 +196,7 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
     ("simulate", ["milestones=[]"], "milestones"),
     ("simulate", ["checkpoints=[]"], "checkpoints"),
     ("simulate", ["batch_sizes=[]"], "batch_sizes"),
+    ("simulate", ["algorithm=classical_poc", "batch_sizes=[20, 30]"], "batch_sizes"),
     ("rates", ["model=null", "replications=0"], "replications"),
     ("rates", ["model=null", "milestones=[0,100]"], "milestones"),
     ("rates", ["model=null", "milestones=[100,10,50]"], "milestones"),
@@ -214,6 +224,7 @@ def test_set_override_unknown_key_rejected(tmp_path, capsys):
         "unknown_algorithm", "n_ref", "rates_batch_spoc", "unknown_metric", "zero_bins",
         "negative_gamma", "zero_window", "zero_steps", "infinite_horizon", "reversed_range",
         "empty_range", "empty_milestones", "empty_checkpoints", "empty_batch_sizes",
+        "classical_batch_sizes",
         "iid_zero_replications", "iid_zero_milestone", "iid_unordered_milestones",
         "zero_workers", "negative_workers", "geometric_shorter_than_n",
         "explicit_shorter_than_n", "rates_geometric_shorter_than_n",

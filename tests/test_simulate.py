@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spoc.simulate
 from spoc import (
     BlowUpError,
     ConfigError,
@@ -613,19 +614,28 @@ def test_classical_blowup_reports_context(workers):
     assert (err.particle, err.step, err.replication) == (18, 5, 1)
 
 
-@pytest.mark.parametrize("run, kw", [
-    (spoc_run, dict(initial=InitialCondition.gaussian(0.0, 0.15))),
-    (batch_spoc_run, dict(batch_sizes=(1, 9, 15, 25))),
-], ids=["wavefront", "batch"])
-def test_blowup_context_is_worker_count_invariant(run, kw):
-    cfg = cubic_config(seed=4, replications=4, **kw)
-    contexts = []
-    for workers in (1, 2):
-        with pytest.raises(BlowUpError) as exc_info:
-            run(cfg, workers=workers)
-        err = exc_info.value
-        contexts.append((err.particle, err.step, err.replication))
-    assert contexts[0] == contexts[1]
+def _blowup_context(run, cfg, workers=1):
+    with pytest.raises(BlowUpError) as exc_info:
+        run(cfg, workers=workers)
+    err = exc_info.value
+    return err.particle, err.step, err.replication
+
+
+# with std 0.1 and seeds 3, 35 and 76, a higher particle of another replication
+# leaves the range on an earlier wave than the lowest bad particle
+@pytest.mark.parametrize("run, seed, kw", [
+    (spoc_run, 4, dict(initial=InitialCondition.gaussian(0.0, 0.15))),
+    (spoc_run, 3, dict(initial=InitialCondition.gaussian(0.0, 0.1))),
+    (spoc_run, 35, dict(initial=InitialCondition.gaussian(0.0, 0.1))),
+    (spoc_run, 76, dict(initial=InitialCondition.gaussian(0.0, 0.1))),
+    (batch_spoc_run, 4, dict(batch_sizes=(1, 9, 15, 25))),
+], ids=["wavefront", "wavefront_seed3", "wavefront_seed35", "wavefront_seed76", "batch"])
+def test_blowup_context_is_worker_count_invariant(run, seed, kw):
+    cfg = cubic_config(seed=seed, replications=4, **kw)
+    contexts = [_blowup_context(run, cfg, workers) for workers in (1, 2)]
+    if run is spoc_run:  # the particle-by-particle run names the same cell
+        contexts.append(_blowup_context(batch_spoc_run, replace(cfg, batch_sizes=(1,) * cfg.N)))
+    assert len(set(contexts)) == 1
 
 
 def _cubic_bad_steps(cfg, replication=0):
@@ -681,6 +691,28 @@ def test_wavefront_blowup_at_the_initial_point(run, backend):
         run(cfg)
     err = exc_info.value
     assert (err.particle, err.step, err.replication) == (2, 0, 0)
+
+
+def test_wavefront_run_with_only_the_frozen_particle_out_of_range(monkeypatch):
+    # particle 1 starts beyond the range and never moves, every other particle
+    # stays in it: the detector fires, the rerun finds no bad path and returns
+    cfg = ou_config(model=decay_model(), initial=InitialCondition.gaussian(0.0, 1e8 / 1.2),
+                    N=8, M=6, replications=2, seed=85, milestones=(8,), store_paths=True)
+    chunk, passes = spoc.simulate._wavefront_chunk, []
+
+    def spy(*args, **kw):
+        passes.append(kw.get("check_paths", False))
+        return chunk(*args, **kw)
+
+    monkeypatch.setattr(spoc.simulate, "_wavefront_chunk", spy)
+    res = spoc_run(cfg)
+    assert passes == [False, True]
+    assert not np.abs(res.paths[:, 0]).max() <= 1e8
+    assert np.abs(res.paths[:, 1:]).max() <= 1e8
+    ones = batch_spoc_run(replace(cfg, batch_sizes=(1,) * cfg.N))
+    assert _run_arrays(res).keys() == _run_arrays(ones).keys()
+    for key, value in _run_arrays(res).items():
+        assert np.array_equal(value, _run_arrays(ones)[key]), key
 
 
 # -- persistence -----------------------------------------------------------------------------
@@ -778,18 +810,24 @@ def test_save_run_removes_files_the_run_does_not_have(tmp_path):
                                                                       "summary.csv"]
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "other_shape"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "other_shape", "missing_summary",
+                                    "truncated_summary"])
 def test_load_run_rejects_a_broken_atom_store(tmp_path, damage):
     save_run(spoc_run(ou_config(N=20, milestones=(20,), store_paths=True)), tmp_path / "run")
-    atoms = tmp_path / "run" / "atoms.bin"
-    if damage == "missing":
+    atoms, summary = tmp_path / "run" / "atoms.bin", tmp_path / "run" / "summary.csv"
+    if damage == "missing_summary":
+        summary.unlink()
+    elif damage == "truncated_summary":
+        # cut inside the last number: every row still parses, but the newline is gone
+        summary.write_bytes(summary.read_bytes()[:-3])
+    elif damage == "missing":
         atoms.unlink()
     elif damage == "truncated":
         atoms.write_bytes(atoms.read_bytes()[:-3])
     else:  # a whole store, of a run with one particle fewer
         save_run(spoc_run(ou_config(N=19, milestones=(19,), store_paths=True)), tmp_path / "b")
         atoms.write_bytes((tmp_path / "b" / "atoms.bin").read_bytes())
-    with pytest.raises(RunFormatError, match="atoms.bin"):
+    with pytest.raises(RunFormatError, match="summary.csv" if "summary" in damage else "atoms.bin"):
         load_run(tmp_path / "run")
 
 

@@ -111,10 +111,11 @@ def _const_diffusion(t, x, view, sigma):
 
 def _repulsive3d_drift(t, x, view, alpha, beta):
     diff = x - np.asarray(view.mean)
-    sq = np.sum(diff**2, axis=-1, keepdims=True)
+    sq = np.add.reduce(np.square(diff), axis=-1, keepdims=True)  # np.sum, minus its wrapper
     nrm = np.sqrt(sq)
+    # nrm * (beta + sq) can underflow to 0 where nrm > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        force = np.where(nrm > 0.0, diff / (nrm * (beta + sq)), 0.0)
+        force = np.divide(diff, nrm * (beta + sq), out=np.zeros_like(diff), where=nrm > 0.0)
     return -alpha * x + force
 
 

@@ -33,11 +33,13 @@ def block_width(dim: int, n_steps: int, init_draws: bool, dual_noise: bool) -> i
 
 def split_blocks(blocks: np.ndarray, dim: int, n_steps: int, init_draws: bool,
                  dual_noise: bool, dt: float):
-    """Split (..., block_width) blocks into (z0, dw, db): the initial draws
-    (..., dim), or (..., 0) without init_draws, and the dW and dB increments
-    (..., n_steps, dim) scaled by sqrt(dt); db is None without dual_noise."""
+    """Split (..., block_width) blocks into views (z0, dw, db): the initial
+    draws (..., dim), or (..., 0) without init_draws, and the dW and dB
+    increments (..., n_steps, dim), which are scaled by sqrt(dt) in place in
+    blocks; db is None without dual_noise."""
     x0 = dim if init_draws else 0
-    inc = blocks[..., x0:].reshape(blocks.shape[:-1] + (-1, n_steps, dim)) * np.sqrt(dt)
+    blocks[..., x0:] *= np.sqrt(dt)
+    inc = blocks[..., x0:].reshape(blocks.shape[:-1] + (-1, n_steps, dim))
     return blocks[..., :x0], inc[..., 0, :, :], inc[..., 1, :, :] if dual_noise else None
 
 
@@ -48,6 +50,7 @@ class BlockStream:
         self._gen = gen
         self._width = width
 
-    def take(self, count: int) -> np.ndarray:
-        """Next `count` particle blocks, shape (count, width)."""
-        return self._gen.standard_normal((count, self._width))
+    def take(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next `count` particle blocks, shape (count, width), written into
+        the C-contiguous array `out` when it is given."""
+        return self._gen.standard_normal((count, self._width), out=out)

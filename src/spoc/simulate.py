@@ -55,6 +55,10 @@ _RK4_SUBSTEPS = 10
 ALGO_SPOC = "spoc"
 ALGO_BATCH = "batch_spoc"
 ALGO_CLASSICAL = "classical_poc"
+# the wavefront takes noise about this many bytes at a time, and copies
+# finished paths into the atom store this many particles at a time
+_TAKE_BYTES = 64 * 1024
+_STORE_BLOCK = 32
 
 # measure view handed to moment-interaction evaluators (fields broadcast over x)
 MomentView = namedtuple("MomentView", ["mean", "raw_second_moment"])
@@ -384,9 +388,12 @@ def _apply_diffusion(sig, dw: np.ndarray) -> np.ndarray:
     raise DimensionMismatchError(f"diffusion output shape {sig.shape} does not fit increments")
 
 
-def _em_step(model: ModelSpec, t, x: np.ndarray, view, dw: np.ndarray, db, dt: float):
+def _em_step(model: ModelSpec, t, x: np.ndarray, view, dw: np.ndarray, db, dt: float,
+             out: np.ndarray | None = None):
     """One Euler-Maruyama step x + b dt + sigma dW against a measure view; t is
-    a float or an array that broadcasts against x[..., :1].
+    a float or an array that broadcasts against x[..., :1].  The new state is
+    written into out, an array of x's shape that x does not overlap, when it
+    is given.
 
     db holds the measure-free dB increments of the additive-plus-free noise
     form, or is None.  Every driver steps through here, so the floating-point
@@ -394,10 +401,11 @@ def _em_step(model: ModelSpec, t, x: np.ndarray, view, dw: np.ndarray, db, dt: f
     """
     b = model.drift(t, x, view)
     s = model.diffusion(t, x, view)
-    x = x + np.asarray(b) * dt + _apply_diffusion(s, dw)
+    y = np.add(x, np.asarray(b) * dt, out=out)
+    y += _apply_diffusion(s, dw)
     if db is not None:
-        x = x + model.additive_amplitude * db
-    return x
+        y += model.additive_amplitude * db
+    return y
 
 
 def _check_finite_path(block: np.ndarray, step0: int, particle0: int, rep_ids) -> None:
@@ -490,15 +498,25 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None,
     then folds x_k(t_j) into mu(t_j).  It reads only x_k(t_j) and
     mu_{k-1}(t_j), which absorbed x_{k-1}(t_j) on the previous anti-diagonal,
     so all cells with k + j = w are independent (Lamport's hyperplane method).
-    Wave w steps its lanes in one _em_step call and then, after that wave's
-    reads, folds each lane's input state.  A run takes N + M waves instead of
-    N*M particle steps; every cell does the same elementwise arithmetic as a
-    particle-by-particle loop, so the bits are the same.  Replications evolve
-    in lockstep along a vector axis, so chunking is bit-neutral.
+    Wave w steps its lanes in one _em_step call, written straight into the
+    path ring, and then, after that wave's reads, folds each lane's input
+    state.  A run takes N + M waves instead of N*M particle steps; every cell
+    does the same elementwise arithmetic as a particle-by-particle loop, so
+    the bits are the same.  Replications evolve in lockstep along a vector
+    axis, so chunking is bit-neutral.
+
+    The bookkeeping around the waves is done in blocks.  Noise is taken C
+    particles at a time, C sized so that one take holds about _TAKE_BYTES of
+    draws (at least M + 1 particles); BlockStream.take is take-size
+    invariant, so C does not change a bit.  The path ring has M + B rows,
+    B = _STORE_BLOCK, so a finished path stays in it for B waves and the atom
+    store copies B finished paths in one gather.  What a wave reads besides
+    the rings is the same for every wave that steps all M lanes, and is built
+    once.
 
     The finite check of the first pass only detects: it reads the whole path
-    ring once every M + 1 waves and after the last one, and a cell stays in
-    the ring for M + 1 waves, so no bad value is missed.  The ring cannot tell
+    ring once every M + B waves and after the last one, and a cell stays in
+    the ring for M + B waves, so no bad value is missed.  The ring cannot tell
     which in-flight particle is the lowest bad one (a higher one can go bad on
     an earlier wave), so on a failure the chunk reruns from wave 0 with
     check_paths, which checks each path with _check_finite_path on the wave
@@ -527,16 +545,22 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None,
     width = block_width(dim, M, init.needs_noise, dual)
     streams = [BlockStream(replication_stream(config.seed, r), width) for r in rep_ids]
 
-    # Row w % S of xs is wave w's anti-diagonal x_{w-j}(t_j), j = 0..M, so the
-    # path of particle k is xs[(k + j) % S, j].  Row w % S2 of dws holds the
-    # increments of the cells (w - j, j).  Noise is taken S particles at a time.
-    # xs starts at zero: the finite check reads lanes no wave has written yet.
-    S, S2 = M + 1, 2 * (M + 1)
+    # Row w % L of xs is wave w's anti-diagonal x_{w-j}(t_j), j = 0..M, so the
+    # path of particle k is xs[(k + j) % L, j].  It is whole after wave k + M,
+    # and wave k + L is the first to overwrite it, so the store gathers the
+    # paths of particles k0..k0 + B - 1 after wave k0 + B - 1 + M.  Row w % L2
+    # of dws holds the increments of the cells (w - j, j); the take on wave w,
+    # a multiple of C, fills the rows of waves w..w + C + M - 2.  One take
+    # buffer is reused.  xs starts at zero: the finite check reads lanes no
+    # wave has written yet.
+    C = max(M + 1, _TAKE_BYTES // (8 * width * Rc))
+    B = _STORE_BLOCK
+    L, L2 = M + B, C + M
     steps, cols = np.arange(M), np.arange(M + 1)
-    prows = (np.arange(S)[:, None] + cols) % S  # rows of xs on particle k's path
-    xs = np.zeros((S, M + 1, Rc, dim))
-    dws = np.empty((S2, M, Rc, dim))
+    xs = np.zeros((L, M + 1, Rc, dim))
+    dws = np.empty((L2, M, Rc, dim))
     dbs = np.empty_like(dws) if dual else None
+    blocks = np.empty((Rc, C, width))
 
     # mean and raw second moment side by side, folded by one update per wave
     state = np.zeros((M + 1, Rc, dim + 1))
@@ -548,7 +572,6 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None,
     exact_until = np.flatnonzero(alphas == 1.0)[-1] + M
     kept = np.array(list(config.store_columns), dtype=int)
     store = np.zeros((Rc, N, kept.size, dim)) if kept.size else None
-    store_rows = prows[:, kept]  # rows of xs on particle k's path at the kept grid indices
 
     mean_traj = np.zeros((Rc, len(milestones), n_cp, dim))
     second_traj = np.zeros((Rc, len(milestones), n_cp))
@@ -572,44 +595,56 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None,
         # before t_0
         gap_sums = np.zeros((2, M + 2, Rc))
 
+    def lanes(lo, hi):
+        # what a wave with lanes j = lo..hi reads besides the rings: times,
+        # measure views and fold buffers
+        st, u = state[lo : hi + 1], folded[: hi + 1 - lo]
+        ref = MomentView(ref_mean[lo:hi], ref_second[lo:hi]) if coupled else None
+        return (times[lo:hi], MomentView(st[:-1, :, :dim], st[:-1, :, dim]), ref,
+                st, u, u[..., :dim], u[..., dim])
+
+    steady = lanes(0, M)
+
     # overflow on a diverging path is caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(N + M):
-            cur, nxt = w % S, (w + 1) % S
+            cur, nxt = w % L, (w + 1) % L
             if w < N:  # particle index w (0-based) enters at t_0
-                if cur == 0:
-                    c = min(S, N - w)
-                    rows = (w + np.arange(c)[:, None] + steps) % S2
-                    blocks = np.stack([s.take(c) for s in streams])  # (Rc, c, width)
-                    z0, dw, db = split_blocks(blocks, dim, M, init.needs_noise, dual, dt)
+                i = w % C  # its place in its take
+                if i == 0:
+                    c = min(C, N - w)
+                    block = blocks[:, :c]
+                    for s, b in zip(streams, block):
+                        s.take(c, out=b)
+                    z0, dw, db = split_blocks(block, dim, M, init.needs_noise, dual, dt)
+                    rows = (w + np.arange(c)[:, None] + steps) % L2
                     dws[rows, steps] = dw.transpose(1, 2, 0, 3)
                     if dual:
                         dbs[rows, steps] = db.transpose(1, 2, 0, 3)
                     x0s = init.from_block(z0, dim)
                 at = (cols, cols) if w == 0 else (cur, 0)  # the first particle stays put
-                xs[at] = x0s[:, cur]
+                xs[at] = x0s[:, i]
                 if coupled:
-                    ys[at] = x0s[:, cur]
+                    ys[at] = x0s[:, i]
 
             # lanes j in [lo, hi] hold particles k = w - j; all but j = M and
             # the frozen first particle (j = w) step
             lo, hi = max(0, w - N + 1), min(w, M)
+            t, view, ref_view, st, u, u_x, u_sq = steady if hi - lo == M else lanes(lo, hi)
             if hi > lo:
-                t, dw = times[lo:hi], dws[w % S2, lo:hi]
-                db = dbs[w % S2, lo:hi] if dual else None
-                view = MomentView(state[lo:hi, :, :dim], state[lo:hi, :, dim])
-                xs[nxt, lo + 1 : hi + 1] = _em_step(model, t, xs[cur, lo:hi], view, dw, db, dt)
+                dw = dws[w % L2, lo:hi]
+                db = dbs[w % L2, lo:hi] if dual else None
+                _em_step(model, t, xs[cur, lo:hi], view, dw, db, dt, out=xs[nxt, lo + 1 : hi + 1])
                 if coupled:
-                    view = MomentView(ref_mean[lo:hi], ref_second[lo:hi])
-                    ys[nxt, lo + 1 : hi + 1] = _em_step(model, t, ys[cur, lo:hi], view,
-                                                        dw, db, dt)
+                    _em_step(model, t, ys[cur, lo:hi], ref_view, dw, db, dt,
+                             out=ys[nxt, lo + 1 : hi + 1])
 
             # fold the lanes' input states, lane j with the rate of particle w - j
-            x, u = xs[cur, lo : hi + 1], folded[: hi + 1 - lo]
-            u[..., :dim] = x
-            np.add.reduce(np.square(x), axis=2, out=u[..., dim])  # np.sum, minus its wrapper
+            x = xs[cur, lo : hi + 1]
+            u_x[...] = x
+            np.add.reduce(np.square(x), axis=2, out=u_sq)  # np.sum, minus its wrapper
             a = rev_alphas[N - 1 - w + lo : N - w + hi]
-            _recursive_update(state[lo : hi + 1], u, a, w <= exact_until)
+            _recursive_update(st, u, a, w <= exact_until)
             for l, ci, mi in captures.get(w, ()):
                 mean_traj[:, l, ci] = state[mi, :, :dim]
                 second_traj[:, l, ci] = state[mi, :, dim]
@@ -619,17 +654,20 @@ def _wavefront_chunk(config: SimConfig, rep_ids: list[int], ref_moments=None,
                        trap_w[lo : hi + 1] * np.add.reduce(np.square(diff), axis=2),
                        out=gap_sums[w % 2, lo + 1 : hi + 2])
 
-            if not check_paths and (w % S == M or w == N + M - 1) \
-                    and not np.abs(xs).max() <= BLOWUP_LIMIT:  # a NaN maximum fails this too
+            # max and min, not abs: no copy of the ring; a NaN maximum fails too
+            if not check_paths and (w % L == L - 1 or w == N + M - 1) \
+                    and not (xs.max() <= BLOWUP_LIMIT and xs.min() >= -BLOWUP_LIMIT):
                 return _wavefront_chunk(config, rep_ids, ref_moments, check_paths=True)
 
             k = w - M  # particle index k (0-based) has its whole path now
             if k < 0:
                 continue
             if check_paths and k > 0:
-                _check_finite_path(xs[prows[k % S], cols][:, :, None], 0, k + 1, rep_ids)
-            if store is not None:
-                store[:, k] = xs[store_rows[k % S], kept].transpose(1, 0, 2)
+                _check_finite_path(xs[(k + cols) % L, cols][:, :, None], 0, k + 1, rep_ids)
+            if store is not None and (k % B == B - 1 or k == N - 1):
+                k0 = k - k % B
+                rows = (np.arange(k0, k + 1)[:, None] + kept) % L
+                store[:, k0 : k + 1] = xs[rows, kept].transpose(2, 0, 1, 3)
             if coupled:
                 gap = gap_sums[w % 2, M + 1] / config.T
                 _recursive_update(kn_gap_state, gap, alphas[k])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,36 @@ def test_anytime_milestones_match_shorter_runs():
             assert np.array_equal(a.atoms, b.atoms)
             assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(long.mean_traj[:, 0], short.mean_traj[:, 0])
+    # a coupled run, at milestones that end a store gather (32 paths) and a
+    # noise take (136 particles at M = 30, R = 2): its gaps are those of a run
+    # that stops there
+    long = coupled_spoc_run(ou_config(milestones=(64, 136, 400)))
+    for l, n in enumerate((64, 136)):
+        short = coupled_spoc_run(ou_config(N=n, milestones=(n,)))
+        assert np.array_equal(long.gap_kn[:, l], short.gap_kn[:, 0])
+        assert np.array_equal(long.gap_at_milestone[:, l], short.gap_at_milestone[:, 0])
+        assert np.array_equal(long.run.mean_traj[:, l], short.run.mean_traj[:, 0])
+
+
+def test_wavefront_peak_memory_is_its_rings_and_one_take():
+    # the wavefront holds its path ring, its increment ring and one noise take;
+    # the rest (lanes, index arrays) stays under 1 MiB here, so a copy of the
+    # path ring or a second take alive at once (about 1.7 and 1.3 MiB) shows
+    cfg = SimConfig(model=builtin_model("repulsive3d"), schedule=UpdateSchedule.harmonic(10**6),
+                    initial=InitialCondition.point([1.0, 0.0, 0.0]), T=1.2, M=120, N=600,
+                    seed=1, replications=4, milestones=(600,), measure_backend="summary_only")
+    spoc_run(cfg)  # the first run allocates what every later one reuses
+    tracemalloc.start()
+    try:
+        spoc_run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    M, R, dim = cfg.M, cfg.replications, 3
+    width = block_width(dim, M, False, False)
+    C = max(M + 1, spoc.simulate._TAKE_BYTES // (8 * width * R))
+    rings = 8 * R * dim * ((M + spoc.simulate._STORE_BLOCK) * (M + 1) + (C + M) * M)
+    assert peak <= rings + 8 * R * C * width + 2**20
 
 
 def test_block_stream_is_take_size_invariant():
@@ -254,13 +285,31 @@ def test_backends_agree_exactly_for_moment_models():
 
 
 def test_batch_all_ones_bit_identical_to_sequential():
-    seq = spoc_run(ou_config())
-    bat = batch_spoc_run(ou_config(batch_sizes=(1,) * 400))
-    assert np.array_equal(seq.mean_traj, bat.mean_traj)
-    assert np.array_equal(seq.second_traj, bat.second_traj)
-    for k in seq.snapshots:
-        assert np.array_equal(seq.snapshots[k].atoms, bat.snapshots[k].atoms)
-        assert np.array_equal(seq.snapshots[k].weights, bat.snapshots[k].weights)
+    # all-ones batches run the particle-by-particle driver.  The inputs sit on
+    # the wavefront's block edges: noise takes of C particles (136 at M = 30,
+    # R = 2 with a point initial; 88 with the gaussian one at R = 3), store
+    # gathers of B = 32 finished paths and a path ring of M + B rows.
+    cases = [
+        {},  # N = 400: N % C and N % B are not 0
+        {"N": 20, "milestones": (5, 20), "store_paths": True},  # N < B
+        {"N": 20, "milestones": (20,), "measure_backend": "summary_only"},
+        {"N": 33, "milestones": (32, 33)},  # N = B + 1: one path in the last gather
+        {"M": 40, "N": 150, "milestones": (50, 150), "store_paths": True,
+         "measure_backend": "summary_only"},  # M > B: the path ring wraps
+        {"N": 181, "replications": 3, "initial": InitialCondition.gaussian(0.0, 1.0),
+         "milestones": (88, 181), "store_paths": True},  # N = 2C + 5
+    ]
+    for kw in cases:
+        seq = spoc_run(ou_config(**kw))
+        bat = batch_spoc_run(ou_config(batch_sizes=(1,) * seq.config.N, **kw))
+        assert np.array_equal(seq.mean_traj, bat.mean_traj)
+        assert np.array_equal(seq.second_traj, bat.second_traj)
+        if seq.config.store_paths:
+            assert np.array_equal(seq.paths, bat.paths)
+        if seq.config.measure_backend == "full_atoms":
+            for k in seq.snapshots:
+                assert np.array_equal(seq.snapshots[k].atoms, bat.snapshots[k].atoms)
+                assert np.array_equal(seq.snapshots[k].weights, bat.snapshots[k].weights)
 
 
 def test_batch_two_batches_snapshot_weights():
